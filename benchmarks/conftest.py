@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from typing import Optional
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.apps.minicms import (
     seed_paper_scenario,
     seed_scaled,
 )
+from repro.config import EngineConfig
 from repro.runtime.engine import HildaEngine
 from repro.sql.stats import EstimationStats
 from repro.storage.backend import BACKEND_ENV_VAR
@@ -70,16 +72,22 @@ def navcms_program():
     return load_navcms()
 
 
-def fresh_engine(program, **options) -> HildaEngine:
+def fresh_engine(program, config: Optional[EngineConfig] = None) -> HildaEngine:
     """A new engine with the paper-scenario data."""
-    engine = HildaEngine(program, **options)
+    engine = HildaEngine(program, config=config)
     seed_paper_scenario(engine)
     return engine
 
 
-def scaled_engine(program, n_courses=4, n_students=10, n_assignments=3, **options) -> HildaEngine:
+def scaled_engine(
+    program,
+    n_courses=4,
+    n_students=10,
+    n_assignments=3,
+    config: Optional[EngineConfig] = None,
+) -> HildaEngine:
     """A new engine with a scaled synthetic data set."""
-    engine = HildaEngine(program, **options)
+    engine = HildaEngine(program, config=config)
     seed_scaled(
         engine,
         n_courses=n_courses,

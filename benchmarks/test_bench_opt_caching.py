@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.apps.minicms import ADMIN_USER
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 
@@ -101,7 +102,7 @@ def test_bench_activation_query_cache_ablation(benchmark, minicms_program):
             n_courses=quick(4, 2),
             n_students=quick(8, 4),
             n_assignments=3,
-            cache_activation_queries=cache,
+            config=EngineConfig(cache=CacheConfig(activation_queries=cache)),
         )
         engine.start_session({"user": [(ADMIN_USER,)]})
         start = time.perf_counter()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 
+from repro.config import EngineConfig
 from repro.runtime.context import DictCatalog
 from repro.sql.executor import SQLExecutor
 
@@ -62,8 +63,8 @@ def _run(executor: SQLExecutor, query: str, repeats: int = REPEATS):
 def test_bench_compiled_vs_interpreted_filter(benchmark, minicms_program):
     """Compiled closures vs tree-walking evaluation on a filter-heavy query."""
     catalog = _catalog(minicms_program)
-    interpreted = SQLExecutor(catalog, compile_expressions=False)
-    compiled = SQLExecutor(catalog, compile_expressions=True)
+    interpreted = SQLExecutor(catalog, config=EngineConfig(compile_expressions=False))
+    compiled = SQLExecutor(catalog, config=EngineConfig(compile_expressions=True))
 
     interp_ms, interp_rows, interp_stats = _run(interpreted, FILTER_QUERY)
     comp_ms, comp_rows, comp_stats = _run(compiled, FILTER_QUERY)
@@ -104,8 +105,8 @@ def test_bench_compiled_vs_interpreted_filter(benchmark, minicms_program):
 def test_bench_indexed_vs_full_scan_selection(benchmark, minicms_program):
     """Point lookups: secondary-index selection vs full scans."""
     catalog = _catalog(minicms_program)
-    scanning = SQLExecutor(catalog, auto_index=False)
-    indexed = SQLExecutor(catalog, auto_index=True)
+    scanning = SQLExecutor(catalog, config=EngineConfig(auto_index=False))
+    indexed = SQLExecutor(catalog, config=EngineConfig(auto_index=True))
 
     queries = [f"SELECT sname FROM student WHERE sid = {sid}" for sid in range(1, 41)]
 
@@ -153,8 +154,8 @@ def test_bench_indexed_vs_full_scan_selection(benchmark, minicms_program):
 def test_bench_index_join_on_minicms_shape(benchmark, minicms_program):
     """The activation-query join shape with hash joins vs index-NL joins."""
     catalog = _catalog(minicms_program)
-    hashed = SQLExecutor(catalog, auto_index=False)
-    indexed = SQLExecutor(catalog, auto_index=True)
+    hashed = SQLExecutor(catalog, config=EngineConfig(auto_index=False))
+    indexed = SQLExecutor(catalog, config=EngineConfig(auto_index=True))
 
     hash_ms, hash_rows, hash_stats = _run(hashed, JOIN_QUERY, repeats=20)
     index_ms, index_rows, index_stats = _run(indexed, JOIN_QUERY, repeats=20)

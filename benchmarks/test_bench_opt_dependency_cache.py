@@ -33,6 +33,7 @@ from repro.apps.minicms import (
     seed_paper_scenario,
     seed_scaled,
 )
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 
@@ -60,9 +61,13 @@ def _engine(program, variant: str, scaled: bool = False) -> HildaEngine:
     """
     engine = HildaEngine(
         program,
-        cache_activation_queries=variant in ("deps", "global"),
-        dependency_tracking=variant == "deps",
-        delta_reactivation=variant == "deps",
+        config=EngineConfig(
+            cache=CacheConfig(
+                activation_queries=variant in ("deps", "global"),
+                dependency_tracking=variant == "deps",
+                delta_reactivation=variant == "deps",
+            )
+        ),
     )
     if scaled:
         seed_scaled(engine, n_courses=quick(4, 3), n_students=3, n_assignments=quick(6, 4))

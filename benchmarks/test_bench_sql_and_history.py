@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.apps.minicms import ADMIN_USER, STUDENT1_USER, STUDENT2_USER, seed_scaled
+from repro.config import EngineConfig
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -56,13 +57,13 @@ _JOIN_QUERY = (
 
 
 def test_bench_activation_query_hash_join(benchmark):
-    executor = SQLExecutor(_join_database(300), optimize=True)
+    executor = SQLExecutor(_join_database(300), config=EngineConfig(optimize=True))
     rows = benchmark(executor.query_rows, _JOIN_QUERY)
     assert rows
 
 
 def test_bench_activation_query_nested_loop(benchmark):
-    executor = SQLExecutor(_join_database(300), optimize=False)
+    executor = SQLExecutor(_join_database(300), config=EngineConfig(optimize=False))
     rows = benchmark(executor.query_rows, _JOIN_QUERY)
     assert rows
 
@@ -73,10 +74,10 @@ def test_bench_join_strategy_shape(benchmark):
         for size in (100, 300, 900):
             db = _join_database(size)
             start = time.perf_counter()
-            SQLExecutor(db, optimize=False).query_rows(_JOIN_QUERY)
+            SQLExecutor(db, config=EngineConfig(optimize=False)).query_rows(_JOIN_QUERY)
             nested = (time.perf_counter() - start) * 1000
             start = time.perf_counter()
-            SQLExecutor(db, optimize=True).query_rows(_JOIN_QUERY)
+            SQLExecutor(db, config=EngineConfig(optimize=True)).query_rows(_JOIN_QUERY)
             hashed = (time.perf_counter() - start) * 1000
             rows.append((size, f"{nested:.1f} ms", f"{hashed:.1f} ms", f"{nested / hashed:.1f}x"))
         return rows

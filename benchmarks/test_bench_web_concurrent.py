@@ -28,6 +28,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.hilda.program import load_program
 from repro.web.container import HildaApplication
 from repro.web.forms import encode_action
@@ -76,7 +77,9 @@ root aunit Guestbook {
 
 
 def make_application() -> HildaApplication:
-    return HildaApplication(load_program(GUESTBOOK_SOURCE), auto_index=True)
+    return HildaApplication(
+        load_program(GUESTBOOK_SOURCE), config=EngineConfig(auto_index=True)
+    )
 
 
 def browse(server_url: str, user: str, n_requests: int) -> int:

@@ -9,9 +9,8 @@ This package is the recommended entry point to the reproduction (see
   parser produces;
 * the **typed configuration objects** (:mod:`repro.config`) —
   :class:`EngineConfig`, :class:`CacheConfig`, :class:`StorageConfig`,
-  :class:`SessionConfig`, :class:`ServerConfig` replace the keyword sprawl
-  of the runtime constructors (old kwargs still work, with a one-time
-  ``DeprecationWarning`` each);
+  :class:`SessionConfig`, :class:`ServerConfig` carry every knob of the
+  runtime constructors;
 * the **facade** (:mod:`repro.api.facade`) — :func:`build_program`,
   :func:`build_app` and :func:`serve` accept source text, a builder, a
   declaration or a resolved program interchangeably.
@@ -45,7 +44,6 @@ from repro.config import (
     ServerConfig,
     SessionConfig,
     StorageConfig,
-    reset_deprecation_warnings,
 )
 from repro.errors import BuilderError, ConfigError, ReproError
 from repro.hilda.program import HildaProgram, load_program
@@ -78,7 +76,6 @@ __all__ = [
     "load_program",
     "punit",
     "query",
-    "reset_deprecation_warnings",
     "return_handler",
     "serve",
     "table",

@@ -7,17 +7,13 @@ followed by that many payload bytes.  The payload is a codec-encoded dict:
 * response — ``{"id": int, "ok": bool, "value": ...}`` or
   ``{"id": int, "ok": False, "error": {"type": str, "message": str}}``
 
-The codec is msgpack when the interpreter has it and pickle otherwise (the
-container image does not bake msgpack in, so pickle is the common case).
-Both sides of a connection always run the same code base, so the codec choice
-never needs negotiating.  msgpack turns tuples into lists; callers that ship
-table rows must therefore re-tuple them on receipt (``worker.py`` does).
-The pickle path decodes through a **restricted unpickler**: rpc frames are
-plain containers of primitives (the one exception being ``datetime.date``
-row values), so ``find_class`` rejects every other global — a crafted frame
-from some other local process that can reach the TCP port must not be able
-to smuggle a ``__reduce__`` gadget into the worker (pickle is otherwise
-arbitrary code execution).  Undecodable frames of either codec surface as
+The codec is pickle, decoded through a **restricted unpickler**: rpc
+frames are plain containers of primitives (the one exception being
+``datetime.date`` row values), so ``find_class`` rejects every other global
+— a crafted frame from some other local process that can reach the TCP port
+must not be able to smuggle a ``__reduce__`` gadget into the worker (pickle
+is otherwise arbitrary code execution).  Tuples survive the round trip, so
+table rows ship as they are stored.  Undecodable frames surface as
 :class:`~repro.errors.RpcError` and close the connection.
 
 :class:`RpcServer` is a thread-per-connection server dispatching to a handler
@@ -32,7 +28,9 @@ see :class:`WorkerClient`).
 
 from __future__ import annotations
 
+import io
 import itertools
+import pickle
 import socket
 import struct
 import threading
@@ -41,57 +39,38 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RpcError, WorkerBusyError, WorkerUnavailableError
 
-__all__ = ["RpcServer", "WorkerClient", "CODEC_NAME"]
+__all__ = ["RpcServer", "WorkerClient"]
 
-try:  # pragma: no cover - exercised only when msgpack is installed
-    import msgpack  # type: ignore
+#: The only non-primitive globals a frame may reference: DATE columns
+#: ship ``datetime.date`` values in ``scan``/``export_tables`` rows.
+#: (``datetime.datetime`` covers the coercion layer's accepted superset.)
+_SAFE_GLOBALS = {("datetime", "date"), ("datetime", "datetime")}
 
-    CODEC_NAME = "msgpack"
 
-    def _encode(message: Dict[str, Any]) -> bytes:
-        return msgpack.packb(message, use_bin_type=True)
+class _RestrictedUnpickler(pickle.Unpickler):
+    """Reject every global reference outside ``_SAFE_GLOBALS``.
 
-    def _decode(payload: bytes) -> Dict[str, Any]:
-        try:
-            return msgpack.unpackb(payload, raw=False)
-        except Exception as exc:
-            raise RpcError(f"undecodable rpc frame: {exc}") from exc
+    Dicts, lists, tuples, strings, bytes, numbers, bools and None decode
+    through dedicated pickle opcodes and never hit ``find_class``, so
+    legitimate rpc traffic is unaffected while a crafted frame cannot
+    name a callable to execute.
+    """
 
-except ImportError:  # pickle is always available
-    import io
-    import pickle
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _SAFE_GLOBALS:
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"rpc frames may not reference {module}.{name}")
 
-    CODEC_NAME = "pickle"
 
-    #: The only non-primitive globals a frame may reference: DATE columns
-    #: ship ``datetime.date`` values in ``scan``/``export_tables`` rows.
-    #: (``datetime.datetime`` covers the coercion layer's accepted superset.)
-    _SAFE_GLOBALS = {("datetime", "date"), ("datetime", "datetime")}
+def _encode(message: Dict[str, Any]) -> bytes:
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
-    class _RestrictedUnpickler(pickle.Unpickler):
-        """Reject every global reference outside ``_SAFE_GLOBALS``.
 
-        Dicts, lists, tuples, strings, bytes, numbers, bools and None decode
-        through dedicated pickle opcodes and never hit ``find_class``, so
-        legitimate rpc traffic is unaffected while a crafted frame cannot
-        name a callable to execute.
-        """
-
-        def find_class(self, module: str, name: str) -> Any:
-            if (module, name) in _SAFE_GLOBALS:
-                return super().find_class(module, name)
-            raise pickle.UnpicklingError(
-                f"rpc frames may not reference {module}.{name}"
-            )
-
-    def _encode(message: Dict[str, Any]) -> bytes:
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _decode(payload: bytes) -> Dict[str, Any]:
-        try:
-            return _RestrictedUnpickler(io.BytesIO(payload)).load()
-        except Exception as exc:
-            raise RpcError(f"undecodable rpc frame: {exc}") from exc
+def _decode(payload: bytes) -> Dict[str, Any]:
+    try:
+        return _RestrictedUnpickler(io.BytesIO(payload)).load()
+    except Exception as exc:
+        raise RpcError(f"undecodable rpc frame: {exc}") from exc
 
 
 _LENGTH = struct.Struct(">I")

@@ -224,9 +224,8 @@ class ClusterServer:
         )
 
     def _configure_peers(self, strict: bool = True) -> None:
-        # String keys: the msgpack codec (when present) rejects int map keys.
         addresses = {
-            str(index): list(address)
+            index: address
             for index, address in enumerate(self._addresses)
             if address is not None
         }

@@ -230,7 +230,7 @@ class ScatterGather:
                 if peer == self.worker:
                     rows.extend(local.rows)
                 else:
-                    rows.extend(tuple(row) for row in self._peer_rows(peer, name))
+                    rows.extend(self._peer_rows(peer, name))
             overlay[name] = Table(local.schema, rows)
             self.gather_count += 1
         return overlay or None

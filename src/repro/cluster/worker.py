@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.rpc import RpcServer, WorkerClient
@@ -61,7 +61,6 @@ class WorkerSpec:
     seed: Optional[Callable[[Any, int], None]] = None
     #: Disable sharding/scatter (thread model serves one shared engine).
     sharded: bool = True
-    extra_app_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 class ClusterWorker:
@@ -222,13 +221,14 @@ class ClusterWorker:
             },
         }
 
-    def _rpc_scan(self, table: str) -> List[List[Any]]:
+    def _rpc_scan(self, table: str) -> List[Tuple[Any, ...]]:
         """A peer reads our rows of ``table`` (partition or replica source)."""
         found = self._local_table(table)
         if found is None:
             return []
+        # Snapshot under the lock: the frame is pickled after it is released.
         with self.app.engine.read_locked():
-            return [list(row) for row in found.rows]
+            return list(found.rows)
 
     def _rpc_touch(self, tokens: List[str]) -> int:
         touched = 0
@@ -237,17 +237,16 @@ class ClusterWorker:
                 touched += 1
         return touched
 
-    def _rpc_configure_peers(self, addresses: Dict[Any, Any]) -> bool:
+    def _rpc_configure_peers(self, addresses: Dict[int, Tuple[str, int]]) -> bool:
         """Learn (or re-learn, after a restart) the peer RPC addresses."""
         with self._peer_lock:
             stale, self._peers = dict(self._peers), {}
-            for worker, address in addresses.items():
-                index = int(worker)
+            for index, address in addresses.items():
                 if index == self.index:
                     continue
                 self._peers[index] = WorkerClient(
                     index,
-                    (address[0], int(address[1])),
+                    address,
                     timeout=self.cluster.request_timeout,
                     connect_retries=self.cluster.connect_retries,
                     retry_backoff=self.cluster.retry_backoff,
@@ -257,15 +256,15 @@ class ClusterWorker:
             client.close()
         return True
 
-    def _rpc_export_tables(self) -> Dict[str, Dict[str, List[List[Any]]]]:
+    def _rpc_export_tables(self) -> Dict[str, Dict[str, List[Tuple[Any, ...]]]]:
         engine = self.app.engine
-        out: Dict[str, Dict[str, List[List[Any]]]] = {}
+        out: Dict[str, Dict[str, List[Tuple[Any, ...]]]] = {}
         with engine.read_locked():
             for aunit in self.app.program.reachable_aunits():
                 tables = engine.persist_tables(aunit.name)
                 if tables:
                     out[aunit.name] = {
-                        name: [list(row) for row in table.rows]
+                        name: list(table.rows)
                         for name, table in tables.items()
                     }
         return out
@@ -310,8 +309,7 @@ class ClusterWorker:
             raise ClusterError(
                 f"worker {self.index} has no peer client for worker {worker}"
             )
-        rows = client.call("scan", retry=True, table=table)
-        return [tuple(row) for row in rows]
+        return client.call("scan", retry=True, table=table)
 
     def _replicated_versions(self) -> Dict[str, int]:
         """Version stamps of the replicated tables that exist right now."""
@@ -376,7 +374,6 @@ def build_worker(spec: WorkerSpec, index: int) -> ClusterWorker:
         cache=spec.cache,
         sessions=spec.sessions,
         functions=functions,
-        **dict(spec.extra_app_kwargs),
     )
     plan = ShardPlan(spec.program, spec.cluster.workers, spec.cluster.partition)
     engine = app.engine

@@ -15,7 +15,7 @@ class ReproError(Exception):
 
 class ConfigError(ReproError, ValueError):
     """A typed configuration object (``repro.config``) was built with an
-    invalid value, or a legacy keyword argument could not be translated.
+    invalid value, or a constructor was given a config of the wrong type.
 
     Also a :class:`ValueError` so pre-existing callers that caught
     ``ValueError`` for bad constructor arguments keep working.

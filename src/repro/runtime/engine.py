@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.config import DEFAULT_ACTIVATION_CACHE_SIZE, EngineConfig
 from repro.errors import (
+    ConfigError,
     ConflictError,
     HandlerError,
     RecoveryError,
@@ -95,11 +96,6 @@ class HildaEngine:
         nested :class:`~repro.config.CacheConfig` for activation-query
         caching, dependency tracking, delta reactivation and cache bounds
         (see ``docs/caching.md``).
-    **legacy_options:
-        The pre-config keyword arguments (``optimize=...``,
-        ``cache_activation_queries=...``, ...) are still accepted and are
-        merged onto ``config``, each emitting a ``DeprecationWarning`` once
-        per process.  See ``docs/api.md`` for the migration table.
     """
 
     def __init__(
@@ -107,9 +103,13 @@ class HildaEngine:
         program: HildaProgram,
         functions: Optional[FunctionRegistry] = None,
         config: Optional[EngineConfig] = None,
-        **legacy_options: Any,
     ) -> None:
-        config = EngineConfig.from_legacy(config, legacy_options, owner="HildaEngine")
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
+            raise ConfigError(
+                f"HildaEngine(config=...) must be an EngineConfig, got {config!r}"
+            )
         self.config = config
         self.program = program
         self.functions = functions or self._default_functions()

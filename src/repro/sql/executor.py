@@ -30,7 +30,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import EngineConfig
-from repro.errors import SQLExecutionError, UnknownTableError
+from repro.errors import ConfigError, SQLExecutionError, UnknownTableError
 from repro.relational.database import Catalog
 from repro.relational.functions import FunctionRegistry, default_registry
 from repro.relational.statistics import size_class as stats_size_class
@@ -149,19 +149,7 @@ class SQLExecutor:
         merged replacement tables for queries that must read beyond the
         local shard; queries it declines run purely locally.  None (the
         default) outside cluster workers.
-    **legacy_options:
-        The pre-config keyword arguments (``optimize=...``,
-        ``auto_index=...``, ``compile_expressions=...``) are still accepted
-        and merged onto ``config``, each emitting a ``DeprecationWarning``
-        once per process.  See ``docs/api.md``.
     """
-
-    #: Legacy kwargs -> the EngineConfig fields replacing them.
-    LEGACY_KWARGS = {
-        "optimize": "optimize",
-        "auto_index": "auto_index",
-        "compile_expressions": "compile_expressions",
-    }
 
     def __init__(
         self,
@@ -170,11 +158,13 @@ class SQLExecutor:
         config: Optional[EngineConfig] = None,
         caches: Optional[SQLCaches] = None,
         scatter: Optional[Any] = None,
-        **legacy_options: Any,
     ) -> None:
-        config = EngineConfig.from_legacy(
-            config, legacy_options, owner="SQLExecutor", allowed=self.LEGACY_KWARGS
-        )
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
+            raise ConfigError(
+                f"SQLExecutor(config=...) must be an EngineConfig, got {config!r}"
+            )
         self.config = config
         self.catalog = catalog
         self.functions = functions or default_registry()

@@ -31,12 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.config import (
-    CacheConfig,
-    EngineConfig,
-    SessionConfig,
-    coalesce_legacy_kwargs,
-)
+from repro.config import CacheConfig, EngineConfig, SessionConfig
 from repro.errors import ConfigError, FormDecodingError, SessionError
 from repro.hilda.program import HildaProgram
 from repro.presentation.renderer import PageRenderer
@@ -84,31 +79,7 @@ class HildaApplication:
     functions:
         Scalar function registry forwarded to the engine the container
         builds.
-    **legacy_options:
-        The pre-config keyword arguments (``cache_fragments=...``,
-        ``session_ttl=...``, ``max_sessions=...``,
-        ``fragment_cache_size=...``, ``activation_cache_size=...`` and
-        every legacy :class:`HildaEngine` kwarg) are still accepted and
-        merged onto the configs, each emitting a ``DeprecationWarning``
-        once per process.  See ``docs/api.md`` for the migration table.
     """
-
-    #: Legacy container kwargs -> the config fields replacing them.
-    LEGACY_KWARGS = {
-        "cache_fragments": "cache.fragments",
-        "fragment_cache_size": "cache.fragment_cache_size",
-        "activation_cache_size": "cache.activation_cache_size",
-        "session_ttl": "sessions.ttl",
-        "max_sessions": "sessions.max_sessions",
-        "cache_activation_queries": "cache.activation_queries",
-        "dependency_tracking": "cache.dependency_tracking",
-        "delta_reactivation": "cache.delta_reactivation",
-        "optimize": "config.optimize",
-        "auto_index": "config.auto_index",
-        "compile_expressions": "config.compile_expressions",
-        "reactivation": "config.reactivation",
-        "record_history": "config.record_history",
-    }
 
     def __init__(
         self,
@@ -118,12 +89,9 @@ class HildaApplication:
         cache: Optional[CacheConfig] = None,
         sessions: Optional[SessionConfig] = None,
         functions: Optional[Any] = None,
-        **legacy_options: Any,
     ) -> None:
         self.program = program
-        config, cache, sessions = self._coalesce_configs(
-            config, cache, sessions, legacy_options
-        )
+        config, cache, sessions = self._coalesce_configs(config, cache, sessions)
         self.config = config
         self.cache_config = cache
         self.session_config = sessions
@@ -151,17 +119,15 @@ class HildaApplication:
         config: Optional[EngineConfig],
         cache: Optional[CacheConfig],
         sessions: Optional[SessionConfig],
-        legacy_options: Dict[str, Any],
     ) -> Tuple[EngineConfig, CacheConfig, SessionConfig]:
-        """Resolve the typed configs plus any deprecated keyword arguments.
+        """Resolve the typed configs, filling in the container's defaults.
 
         Precedence for the caching policy: the ``cache`` parameter wins;
         otherwise a ``config.cache`` explicitly different from the plain
         :class:`CacheConfig` defaults is honoured; otherwise the container
         applies :meth:`CacheConfig.server_defaults` (both caches on) — so
         passing ``config=EngineConfig(auto_index=True)`` does *not*
-        silently disable the server caches.  Legacy kwargs are then
-        layered on top, warning once each.
+        silently disable the server caches.
         """
         for name, value, expected in (
             ("config", config, EngineConfig),
@@ -179,31 +145,8 @@ class HildaApplication:
             effective_cache = config.cache
         else:
             effective_cache = CacheConfig.server_defaults()
-        engine_config = config if config is not None else EngineConfig()
-        session_config = sessions if sessions is not None else SessionConfig()
-        if legacy_options:
-            translated = coalesce_legacy_kwargs(
-                "HildaApplication", legacy_options, HildaApplication.LEGACY_KWARGS
-            )
-            updates: Dict[str, Dict[str, Any]] = {"cache": {}, "config": {}, "sessions": {}}
-            for dotted, value in translated.items():
-                scope, _, field_name = dotted.partition(".")
-                if value is None and field_name in (
-                    "fragment_cache_size",
-                    "activation_cache_size",
-                ):
-                    # The legacy kwargs used None for "keep the default
-                    # bound"; in CacheConfig None means unbounded.
-                    continue
-                updates[scope][field_name] = value
-            if updates["cache"]:
-                effective_cache = replace(effective_cache, **updates["cache"])
-            if updates["config"]:
-                engine_config = replace(engine_config, **updates["config"])
-            if updates["sessions"]:
-                session_config = replace(session_config, **updates["sessions"])
-        engine_config = replace(engine_config, cache=effective_cache)
-        return engine_config, effective_cache, session_config
+        engine_config = replace(config or EngineConfig(), cache=effective_cache)
+        return engine_config, effective_cache, sessions or SessionConfig()
 
     # -- request handling -------------------------------------------------------
 

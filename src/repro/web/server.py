@@ -34,11 +34,10 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.config import ClusterConfig, ServerConfig, coalesce_legacy_kwargs
+from repro.config import ClusterConfig, ServerConfig
 from repro.errors import ConfigError
 from repro.web.container import HildaApplication
 from repro.web.http import (
@@ -59,6 +58,10 @@ __all__ = ["ThreadedHildaServer", "HttpBrowser", "serve", "SERVER_MODE_ENV_VAR"]
 #: ``tier1-cluster`` CI leg uses to run the ordinary web suites through the
 #: cluster path, mirroring ``REPRO_STORAGE_BACKEND`` for storage.
 SERVER_MODE_ENV_VAR = "REPRO_SERVER_MODE"
+
+#: Largest request body the front end reads; a longer declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1024 * 1024
 
 
 class _HildaRequestHandler(BaseHTTPRequestHandler):
@@ -83,11 +86,9 @@ class _HildaRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming convention
         parsed = urllib.parse.urlsplit(self.path)
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length).decode("utf-8") if length else ""
+        body = self._read_body()
+        if body is None:
+            return
         params = parse_query_string(parsed.query)
         params.update(parse_query_string(body))
         request = Request(
@@ -100,6 +101,27 @@ class _HildaRequestHandler(BaseHTTPRequestHandler):
         self._reply(self.application.handle(request))
 
     # -- plumbing ---------------------------------------------------------------
+
+    def _read_body(self) -> Optional[str]:
+        """The decoded request body, or None once a malformed one is refused.
+
+        A refusal closes the connection (``send_error`` says
+        ``Connection: close``): with the length unknown or the body unread,
+        the rest of the stream cannot be framed as the next request.
+        """
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.send_error(400, explain=f"invalid Content-Length {declared!r}")
+            return None
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.send_error(413, explain=f"request body over {MAX_BODY_BYTES} bytes")
+            return None
+        try:
+            return self.rfile.read(length).decode("utf-8")
+        except UnicodeDecodeError:
+            self.send_error(400, explain="request body is not UTF-8")
+            return None
 
     def _cookies(self) -> Dict[str, str]:
         return parse_cookie_header(self.headers.get("Cookie", ""))
@@ -170,43 +192,15 @@ class _ThreadingServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
-def _coalesce_server_config(
-    owner: str,
-    config: Optional[ServerConfig],
-    legacy_options: Dict[str, Any],
-    default: Optional[ServerConfig] = None,
+def _server_config(
+    owner: str, config: Optional[ServerConfig], default: ServerConfig
 ) -> ServerConfig:
-    """Resolve a :class:`ServerConfig` plus any deprecated host/port/verbose
-    kwargs (each warning once per process)."""
-    if isinstance(config, str):
-        # Old positional signature: (application, host, port, verbose) —
-        # the host string landed in the config slot and any further
-        # positional values slid one slot right.  Recover them by type
-        # (port is a non-bool int, verbose a bool; keyword-passed values
-        # are already in the right slot), then let the legacy shim warn.
-        host = legacy_options.get("host")
-        port = legacy_options.get("port")
-        legacy_options = {
-            "host": config,
-            "port": host if isinstance(host, int) and not isinstance(host, bool) else port,
-            "verbose": port if isinstance(port, bool) else legacy_options.get("verbose"),
-        }
-        config = None
-    if config is not None and not isinstance(config, ServerConfig):
+    """``config``, or ``default`` when it is None; anything else is refused."""
+    if config is None:
+        return default
+    if not isinstance(config, ServerConfig):
         raise ConfigError(f"{owner}(config=...) must be a ServerConfig, got {config!r}")
-    resolved = config if config is not None else (default or ServerConfig())
-    legacy = {key: value for key, value in legacy_options.items() if value is not None}
-    if legacy:
-        translated = coalesce_legacy_kwargs(
-            owner,
-            legacy,
-            {"host": "config.host", "port": "config.port", "verbose": "config.verbose"},
-        )
-        resolved = replace(
-            resolved,
-            **{dotted.partition(".")[2]: value for dotted, value in translated.items()},
-        )
-    return resolved
+    return config
 
 
 class ThreadedHildaServer:
@@ -219,23 +213,15 @@ class ThreadedHildaServer:
     ...     browser.login("alice")
 
     ``config`` is a typed :class:`~repro.config.ServerConfig` (binding,
-    backlog, logging); the pre-config ``host=``/``port=``/``verbose=``
-    kwargs are still accepted with a one-time ``DeprecationWarning`` each.
+    backlog, logging).
     """
 
     def __init__(
         self,
         application: HildaApplication,
         config: Optional[ServerConfig] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        verbose: Optional[bool] = None,
     ) -> None:
-        config = _coalesce_server_config(
-            "ThreadedHildaServer",
-            config,
-            {"host": host, "port": port, "verbose": verbose},
-        )
+        config = _server_config("ThreadedHildaServer", config, ServerConfig())
         self.application = application
         self.config = config
         #: What the HTTP handlers actually call: the application itself, or a
@@ -345,25 +331,13 @@ class ThreadedHildaServer:
         self.shutdown()
 
 
-def serve(
-    application: HildaApplication,
-    config: Optional[ServerConfig] = None,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    verbose: Optional[bool] = None,
-) -> None:
+def serve(application: HildaApplication, config: Optional[ServerConfig] = None) -> None:
     """Run ``application`` in the foreground (Ctrl-C to stop).
 
     ``config`` defaults to :meth:`ServerConfig.foreground` (port 8080,
-    request logging on); the legacy ``host=``/``port=``/``verbose=`` kwargs
-    keep working with a one-time ``DeprecationWarning`` each.
+    request logging on).
     """
-    config = _coalesce_server_config(
-        "serve",
-        config,
-        {"host": host, "port": port, "verbose": verbose},
-        default=ServerConfig.foreground(),
-    )
+    config = _server_config("serve", config, ServerConfig.foreground())
     server = ThreadedHildaServer(application, config=config)
     print(f"Serving {application.program.root_name} on {server.url}")
     server.serve_forever()

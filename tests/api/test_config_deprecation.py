@@ -1,8 +1,6 @@
-"""Typed configs and the deprecation shims for every pre-config kwarg."""
+"""Typed configs: validation, precedence, and type checks at every consumer."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -13,12 +11,11 @@ from repro.api import (
     ServerConfig,
     SessionConfig,
     build_app,
-    reset_deprecation_warnings,
 )
 from repro.runtime.engine import HildaEngine
 from repro.sql.executor import SQLExecutor
 from repro.web.container import HildaApplication
-from repro.web.server import ThreadedHildaServer
+from repro.web.server import ThreadedHildaServer, serve
 
 
 @pytest.fixture
@@ -26,13 +23,6 @@ def guestbook_program(guestbook_source):
     from repro.hilda.program import load_program
 
     return load_program(guestbook_source)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_registry():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestConfigValidation:
@@ -74,61 +64,99 @@ class TestConfigValidation:
         assert engine.auto_index and engine.cache_activation_queries
 
 
-class TestEngineLegacyKwargs:
-    @pytest.mark.parametrize("kwarg,value,attribute", [
-        ("optimize", False, "optimize"),
-        ("auto_index", True, "auto_index"),
-        ("compile_expressions", False, "compile_expressions"),
-        ("reactivation", "lazy", "reactivation"),
-        ("cache_activation_queries", True, "cache_activation_queries"),
-        ("dependency_tracking", False, "dependency_tracking"),
-        ("delta_reactivation", False, "delta_reactivation"),
-        ("activation_cache_size", 17, "activation_cache_size"),
-    ])
-    def test_each_kwarg_warns_once_and_takes_effect(
-        self, guestbook_program, kwarg, value, attribute
+    def test_engine_and_executor_reject_bad_config_types(
+        self, guestbook_program, sample_db
     ):
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            engine = HildaEngine(guestbook_program, **{kwarg: value})
-        assert getattr(engine, attribute) == value
-        # The second use is silent: exactly once per old kwarg per process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            HildaEngine(guestbook_program, **{kwarg: value})
+        with pytest.raises(ConfigError, match="HildaEngine"):
+            HildaEngine(guestbook_program, config=CacheConfig())
+        with pytest.raises(ConfigError, match="SQLExecutor"):
+            SQLExecutor(sample_db, config="fast please")
 
-    def test_record_history_kwarg(self, guestbook_program):
-        with pytest.warns(DeprecationWarning, match="record_history"):
-            engine = HildaEngine(guestbook_program, record_history=False)
+
+class TestEngineConfigFields:
+    @pytest.mark.parametrize("config,attribute,value", [
+        pytest.param(EngineConfig(optimize=False), "optimize", False, id="optimize"),
+        pytest.param(EngineConfig(auto_index=True), "auto_index", True, id="auto_index"),
+        pytest.param(
+            EngineConfig(compile_expressions=False), "compile_expressions", False,
+            id="compile_expressions",
+        ),
+        pytest.param(
+            EngineConfig(reactivation="lazy"), "reactivation", "lazy", id="reactivation"
+        ),
+        pytest.param(
+            EngineConfig(cache=CacheConfig(activation_queries=True)),
+            "cache_activation_queries", True, id="activation_queries",
+        ),
+        pytest.param(
+            EngineConfig(cache=CacheConfig(dependency_tracking=False)),
+            "dependency_tracking", False, id="dependency_tracking",
+        ),
+        pytest.param(
+            EngineConfig(cache=CacheConfig(delta_reactivation=False)),
+            "delta_reactivation", False, id="delta_reactivation",
+        ),
+        pytest.param(
+            EngineConfig(cache=CacheConfig(activation_cache_size=17)),
+            "activation_cache_size", 17, id="activation_cache_size",
+        ),
+    ])
+    def test_each_field_takes_effect(self, guestbook_program, config, attribute, value):
+        engine = HildaEngine(guestbook_program, config=config)
+        assert getattr(engine, attribute) == value
+
+    def test_record_history_off_drops_the_history(self, guestbook_program):
+        engine = HildaEngine(guestbook_program, config=EngineConfig(record_history=False))
         assert engine.history is None
 
-    def test_unknown_kwarg_raises_config_error(self, guestbook_program):
-        with pytest.raises(ConfigError, match="frobnicate"):
-            HildaEngine(guestbook_program, frobnicate=True)
 
+class TestSQLExecutorConfig:
+    def test_config_object_takes_effect(self, sample_db):
+        executor = SQLExecutor(sample_db, config=EngineConfig(optimize=False))
+        assert not executor.optimize
 
-class TestSQLExecutorLegacyKwargs:
-    @pytest.mark.parametrize("kwarg,value", [
+    @pytest.mark.parametrize("field,value", [
         ("optimize", False),
         ("auto_index", True),
         ("compile_expressions", False),
     ])
-    def test_each_kwarg_warns_once_and_takes_effect(self, sample_db, kwarg, value):
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            executor = SQLExecutor(sample_db, **{kwarg: value})
-        assert getattr(executor, kwarg) == value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            SQLExecutor(sample_db, **{kwarg: value})
+    def test_each_field_takes_effect(self, sample_db, field, value):
+        executor = SQLExecutor(sample_db, config=EngineConfig(**{field: value}))
+        assert getattr(executor, field) == value
 
-    def test_engine_only_kwargs_rejected(self, sample_db):
-        with pytest.raises(ConfigError, match="reactivation"):
-            SQLExecutor(sample_db, reactivation="lazy")
 
-    def test_config_object_is_silent(self, sample_db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            executor = SQLExecutor(sample_db, config=EngineConfig(optimize=False))
-        assert not executor.optimize
+class TestRemovedKwargs:
+    """The pre-config kwargs are gone: each is Python's own TypeError."""
+
+    def test_engine(self, guestbook_program):
+        with pytest.raises(TypeError, match="frobnicate"):
+            HildaEngine(guestbook_program, frobnicate=True)
+        with pytest.raises(TypeError, match="optimize"):
+            HildaEngine(guestbook_program, optimize=False)
+
+    def test_sql_executor(self, sample_db):
+        with pytest.raises(TypeError, match="auto_index"):
+            SQLExecutor(sample_db, auto_index=True)
+
+    def test_application(self, guestbook_program):
+        with pytest.raises(TypeError, match="cache_fragments"):
+            HildaApplication(guestbook_program, cache_fragments=False)
+
+    def test_server(self, guestbook_program):
+        application = build_app(guestbook_program)
+        with pytest.raises(TypeError, match="verbose"):
+            ThreadedHildaServer(application, verbose=True)
+
+    def test_old_positional_server_signature(self, guestbook_program):
+        application = build_app(guestbook_program)
+        with pytest.raises(TypeError):
+            ThreadedHildaServer(application, "127.0.0.1", 0, True)
+
+    def test_serve(self, guestbook_program):
+        # Raised at the call, before any socket is bound.
+        application = build_app(guestbook_program)
+        with pytest.raises(TypeError, match="port"):
+            serve(application, port=0)
 
 
 class TestContainerConfigs:
@@ -164,43 +192,36 @@ class TestContainerConfigs:
         assert application.engine.cache_activation_queries
         assert not application.renderer.cache_fragments
 
-    @pytest.mark.parametrize("kwarg,value", [
-        ("cache_fragments", False),
-        ("session_ttl", 12.5),
-        ("max_sessions", 3),
-        ("fragment_cache_size", 7),
-        ("activation_cache_size", 9),
-        ("reactivation", "lazy"),
+    @pytest.mark.parametrize("kwargs,read,value", [
+        pytest.param(
+            {"cache": CacheConfig(fragments=False)},
+            lambda app: app.renderer.cache_fragments, False, id="fragments",
+        ),
+        pytest.param(
+            {"sessions": SessionConfig(ttl=12.5)},
+            lambda app: app.sessions.ttl, 12.5, id="session_ttl",
+        ),
+        pytest.param(
+            {"sessions": SessionConfig(max_sessions=3)},
+            lambda app: app.sessions.max_sessions, 3, id="max_sessions",
+        ),
+        pytest.param(
+            {"cache": CacheConfig(fragment_cache_size=7)},
+            lambda app: app.renderer.fragment_cache_size, 7, id="fragment_cache_size",
+        ),
+        pytest.param(
+            {"cache": CacheConfig(activation_cache_size=9)},
+            lambda app: app.engine.activation_cache_size, 9,
+            id="activation_cache_size",
+        ),
+        pytest.param(
+            {"config": EngineConfig(reactivation="lazy")},
+            lambda app: app.engine.reactivation, "lazy", id="reactivation",
+        ),
     ])
-    def test_legacy_kwargs_warn_once_and_take_effect(
-        self, guestbook_program, kwarg, value
-    ):
-        with pytest.warns(DeprecationWarning, match=kwarg):
-            application = HildaApplication(guestbook_program, **{kwarg: value})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            HildaApplication(guestbook_program, **{kwarg: value})
-        if kwarg == "cache_fragments":
-            assert application.renderer.cache_fragments == value
-        elif kwarg == "session_ttl":
-            assert application.sessions.ttl == value
-        elif kwarg == "max_sessions":
-            assert application.sessions.max_sessions == value
-        elif kwarg == "fragment_cache_size":
-            assert application.renderer.fragment_cache_size == value
-        elif kwarg == "activation_cache_size":
-            assert application.engine.activation_cache_size == value
-        else:
-            assert application.engine.reactivation == value
-
-    def test_legacy_cache_fragments_off_keeps_activation_cache_on(
-        self, guestbook_program
-    ):
-        # The historical behaviour: cache_fragments=False only disabled the
-        # renderer cache, the engine's activation cache stayed on.
-        application = HildaApplication(guestbook_program, cache_fragments=False)
-        assert not application.renderer.cache_fragments
-        assert application.engine.cache_activation_queries
+    def test_each_field_takes_effect(self, guestbook_program, kwargs, read, value):
+        application = HildaApplication(guestbook_program, **kwargs)
+        assert read(application) == value
 
     def test_session_config_threads_through(self, guestbook_program):
         application = HildaApplication(
@@ -217,7 +238,7 @@ class TestContainerConfigs:
 
 
 class TestServerConfig:
-    def test_config_object_binds_and_legacy_kwargs_warn(self, guestbook_program):
+    def test_config_object_binds(self, guestbook_program):
         application = build_app(guestbook_program)
         server = ThreadedHildaServer(application, config=ServerConfig(port=0))
         try:
@@ -226,8 +247,11 @@ class TestServerConfig:
         finally:
             server._httpd.server_close()
 
-        with pytest.warns(DeprecationWarning, match="verbose"):
-            server = ThreadedHildaServer(application, verbose=True)
+    def test_verbose_binds_through_the_config(self, guestbook_program):
+        application = build_app(guestbook_program)
+        server = ThreadedHildaServer(
+            application, config=ServerConfig(port=0, verbose=True)
+        )
         try:
             assert server.config.verbose
         finally:
@@ -237,16 +261,3 @@ class TestServerConfig:
         application = build_app(guestbook_program)
         with pytest.raises(ConfigError):
             ThreadedHildaServer(application, config=8080)
-
-    def test_old_positional_signature_still_binds(self, guestbook_program):
-        # Pre-config code called ThreadedHildaServer(app, host, port, verbose)
-        # positionally; the host string lands in the config slot and must be
-        # recovered (with the usual one-time warnings).
-        application = build_app(guestbook_program)
-        with pytest.warns(DeprecationWarning):
-            server = ThreadedHildaServer(application, "127.0.0.1", 0, True)
-        try:
-            assert server.config.host == "127.0.0.1"
-            assert server.config.verbose
-        finally:
-            server._httpd.server_close()

@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.cluster.rpc import (
-    CODEC_NAME,
     MAX_FRAME,
     RpcServer,
     WorkerClient,
@@ -60,11 +59,10 @@ class TestRoundTrip:
             client.close()
 
     def test_rows_survive_modulo_tuple_identity(self, server):
-        # msgpack turns tuples into lists; receivers re-tuple (worker.py does).
+        # Rows come back as tuples: receivers use them without re-tupling.
         client = make_client(server)
         try:
-            rows = [tuple(row) for row in client.call("rows")]
-            assert rows == [(1, "a"), (2, "b")]
+            assert client.call("rows") == [(1, "a"), (2, "b")]
         finally:
             client.close()
 
@@ -95,9 +93,6 @@ class TestRoundTrip:
         client.close()
         assert not errors
         assert results == [2] * 16
-
-    def test_codec_is_importable_constant(self):
-        assert CODEC_NAME in ("msgpack", "pickle")
 
 
 class TestErrors:
@@ -252,7 +247,6 @@ class TestBusyVsDead:
         assert saturated.ping() is True
 
 
-@pytest.mark.skipif(CODEC_NAME != "pickle", reason="exercises the pickle codec")
 class TestPickleSafety:
     """The pickle codec must not be an arbitrary-code-execution vector."""
 
@@ -285,6 +279,15 @@ class TestPickleSafety:
         }
         decoded = self.roundtrip(message)
         assert decoded["args"]["rows"] == [(1, "a", 2.5, True, None)]
+
+    def test_int_keyed_peer_maps_round_trip(self):
+        # _configure_peers ships {worker index: (host, port)} as-is: the
+        # keys stay ints and the addresses stay tuples.
+        peers = {0: ("127.0.0.1", 4100), 2: ("127.0.0.1", 4102)}
+        decoded = self.roundtrip({"peers": peers})["peers"]
+        assert decoded == peers
+        assert all(type(index) is int for index in decoded)
+        assert all(type(address) is tuple for address in decoded.values())
 
     def test_date_row_values_round_trip(self):
         # DATE columns ship datetime.date values in scan/export rows; they

@@ -12,6 +12,7 @@ from repro.apps.minicms import (
     load_minicms,
     seed_paper_scenario,
 )
+from repro.config import EngineConfig
 from repro.runtime.concurrency import (
     OPTIMISTIC,
     PESSIMISTIC,
@@ -111,7 +112,7 @@ class TestConflictDetection:
 
 class TestLazyReactivation:
     def test_lazy_mode_defers_other_sessions(self, minicms_program):
-        engine = HildaEngine(minicms_program, reactivation="lazy")
+        engine = HildaEngine(minicms_program, config=EngineConfig(reactivation="lazy"))
         seed_paper_scenario(engine)
         session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
         session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
@@ -126,7 +127,7 @@ class TestLazyReactivation:
     def test_lazy_and_eager_reach_the_same_state(self, minicms_program):
         outcomes = {}
         for mode in ("eager", "lazy"):
-            engine = HildaEngine(minicms_program, reactivation=mode)
+            engine = HildaEngine(minicms_program, config=EngineConfig(reactivation=mode))
             seed_paper_scenario(engine)
             session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
             session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
@@ -138,7 +139,7 @@ class TestLazyReactivation:
 
     def test_invalid_mode_rejected(self, minicms_program):
         with pytest.raises(ValueError):
-            HildaEngine(minicms_program, reactivation="sometimes")
+            HildaEngine(minicms_program, config=EngineConfig(reactivation="sometimes"))
 
 
 class TestEngineHistory:
@@ -168,7 +169,7 @@ class TestEngineHistory:
         assert "was applied" in checker.explain()
 
     def test_history_can_be_disabled(self, minicms_program):
-        engine = HildaEngine(minicms_program, record_history=False)
+        engine = HildaEngine(minicms_program, config=EngineConfig(record_history=False))
         seed_paper_scenario(engine)
         session = engine.start_session({"user": [(ADMIN_USER,)]})
         assert engine.history is None

@@ -10,6 +10,7 @@ clean and must be reused, while the stale student instances still conflict.
 from __future__ import annotations
 
 import datetime
+from dataclasses import replace
 
 import pytest
 
@@ -20,14 +21,18 @@ from repro.apps.minicms import (
     load_minicms,
     seed_paper_scenario,
 )
+from repro.config import CacheConfig, EngineConfig
 from repro.presentation.renderer import PageRenderer
 from repro.runtime.engine import HildaEngine
 from repro.runtime.operations import OperationStatus
 
+#: The engine with its activation-query cache on.
+CACHED = EngineConfig(cache=CacheConfig(activation_queries=True))
+
 
 @pytest.fixture
 def engine(minicms_program):
-    engine = HildaEngine(minicms_program, cache_activation_queries=True)
+    engine = HildaEngine(minicms_program, config=CACHED)
     seed_paper_scenario(engine)
     return engine
 
@@ -90,7 +95,9 @@ class TestDeltaReactivation:
         assert "HW9" in names
 
     def test_delta_disabled_rebuilds_everything(self, minicms_program):
-        engine = HildaEngine(minicms_program, delta_reactivation=False)
+        engine = HildaEngine(
+            minicms_program, config=EngineConfig(cache=CacheConfig(delta_reactivation=False))
+        )
         seed_paper_scenario(engine)
         _, s1, _ = _sessions(engine)
         result = _withdraw(engine, s1)
@@ -124,7 +131,7 @@ class TestDeltaReactivation:
             }
         }
         """
-        engine = HildaEngine(load_program(source), cache_activation_queries=True)
+        engine = HildaEngine(load_program(source), config=CACHED)
         engine.seed_persistent({"left": [(1,)], "right": [(1, 1)]})
         session = engine.start_session({"user": [("u",)]})
         root = engine.session_tree(session)
@@ -138,9 +145,7 @@ class TestDeltaReactivation:
         assert root.find_children(activator="ActLeft")[0] is left_child
 
     def test_lazy_mode_delta_refresh(self, minicms_program):
-        engine = HildaEngine(
-            minicms_program, reactivation="lazy", cache_activation_queries=True
-        )
+        engine = HildaEngine(minicms_program, config=replace(CACHED, reactivation="lazy"))
         seed_paper_scenario(engine)
         admin, s1, _ = _sessions(engine)
         before = [
@@ -167,8 +172,9 @@ class TestActivationCache:
     def test_global_version_mode_invalidates_everything(self, minicms_program):
         engine = HildaEngine(
             minicms_program,
-            cache_activation_queries=True,
-            dependency_tracking=False,
+            config=EngineConfig(
+                cache=CacheConfig(activation_queries=True, dependency_tracking=False)
+            ),
         )
         seed_paper_scenario(engine)
         admin, s1, _ = _sessions(engine)
@@ -183,8 +189,9 @@ class TestActivationCache:
     def test_cache_is_lru_bounded(self, minicms_program):
         engine = HildaEngine(
             minicms_program,
-            cache_activation_queries=True,
-            activation_cache_size=4,
+            config=EngineConfig(
+                cache=CacheConfig(activation_queries=True, activation_cache_size=4)
+            ),
         )
         seed_paper_scenario(engine)
         _sessions(engine)

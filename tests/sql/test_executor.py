@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.errors import SQLExecutionError
 from repro.sql.executor import SQLExecutor
+
+OPTIMIZED = EngineConfig(optimize=True)
+NAIVE = EngineConfig(optimize=False)
 
 
 class TestBasicQueries:
@@ -110,14 +114,14 @@ class TestJoins:
             "SELECT C.cname, S.sname FROM course C, staff S, student T "
             "WHERE C.cid = S.cid AND S.cid = T.cid"
         )
-        optimized = SQLExecutor(sample_db, optimize=True).query_rows(query)
-        naive = SQLExecutor(sample_db, optimize=False).query_rows(query)
+        optimized = SQLExecutor(sample_db, config=OPTIMIZED).query_rows(query)
+        naive = SQLExecutor(sample_db, config=NAIVE).query_rows(query)
         assert sorted(optimized) == sorted(naive)
 
     def test_explain_shows_join_choice(self, sample_db):
         query = "SELECT C.cid FROM course C, staff S WHERE C.cid = S.cid"
-        assert "HashJoin" in SQLExecutor(sample_db, optimize=True).explain(query)
-        assert "NestedLoopJoin" in SQLExecutor(sample_db, optimize=False).explain(query)
+        assert "HashJoin" in SQLExecutor(sample_db, config=OPTIMIZED).explain(query)
+        assert "NestedLoopJoin" in SQLExecutor(sample_db, config=NAIVE).explain(query)
 
 
 class TestSubqueries:

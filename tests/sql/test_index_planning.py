@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -51,26 +52,28 @@ class TestIndexScanSelection:
 
     def test_auto_index_builds_index_on_first_execution(self):
         db = _db()
-        executor = SQLExecutor(db, auto_index=True)
+        executor = SQLExecutor(db, config=EngineConfig(auto_index=True))
         assert "IndexScan" in executor.explain("SELECT sname FROM student WHERE sid = 5")
         assert executor.query_rows("SELECT sname FROM student WHERE sid = 5") == [("s5",)]
         assert db.table("student").has_index(("sid",))
 
     def test_unoptimized_executor_never_index_scans(self):
-        plan = SQLExecutor(_db(course_index=True), optimize=False).explain(
+        plan = SQLExecutor(
+            _db(course_index=True), config=EngineConfig(optimize=False)
+        ).explain(
             "SELECT cname FROM course WHERE cid = 7"
         )
         assert "IndexScan" not in plan
 
     def test_index_scan_agrees_with_full_scan(self):
         query = "SELECT sid, sname FROM student WHERE cid = 3"
-        indexed = SQLExecutor(_db(), auto_index=True).query_rows(query)
-        scanned = SQLExecutor(_db(), optimize=False).query_rows(query)
+        indexed = SQLExecutor(_db(), config=EngineConfig(auto_index=True)).query_rows(query)
+        scanned = SQLExecutor(_db(), config=EngineConfig(optimize=False)).query_rows(query)
         assert sorted(indexed) == sorted(scanned)
 
     def test_multi_column_equality_uses_one_composite_index(self):
         db = _db()
-        executor = SQLExecutor(db, auto_index=True)
+        executor = SQLExecutor(db, config=EngineConfig(auto_index=True))
         query = "SELECT sname FROM student WHERE cid = 3 AND sid = 3"
         assert "IndexScan" in executor.explain(query)
         assert executor.query_rows(query) == [("s3",)]
@@ -81,7 +84,7 @@ class TestIndexScanSelection:
         # same rows.
         query = "SELECT cname FROM course WHERE cid = '7'"
         indexed = SQLExecutor(_db(course_index=True)).query_rows(query)
-        scanned = SQLExecutor(_db(), optimize=False).query_rows(query)
+        scanned = SQLExecutor(_db(), config=EngineConfig(optimize=False)).query_rows(query)
         assert indexed == scanned == [("c7",)]
 
     def test_index_maintained_across_dml(self):
@@ -100,7 +103,7 @@ class TestIndexJoinSelection:
     QUERY = "SELECT C.cname, S.sname FROM course C, student S WHERE C.cid = S.cid"
 
     def test_auto_index_selects_index_nested_loop_join(self):
-        executor = SQLExecutor(_db(), auto_index=True)
+        executor = SQLExecutor(_db(), config=EngineConfig(auto_index=True))
         assert "IndexNestedLoopJoin" in executor.explain(self.QUERY)
 
     def test_without_indexes_hash_join_is_kept(self):
@@ -110,29 +113,29 @@ class TestIndexJoinSelection:
         assert "IndexNestedLoopJoin" not in plan
 
     def test_index_join_agrees_with_hash_and_nested_loop(self):
-        indexed = SQLExecutor(_db(), auto_index=True).query_rows(self.QUERY)
+        indexed = SQLExecutor(_db(), config=EngineConfig(auto_index=True)).query_rows(self.QUERY)
         hashed = SQLExecutor(_db()).query_rows(self.QUERY)
-        naive = SQLExecutor(_db(), optimize=False).query_rows(self.QUERY)
+        naive = SQLExecutor(_db(), config=EngineConfig(optimize=False)).query_rows(self.QUERY)
         assert sorted(indexed) == sorted(hashed) == sorted(naive)
 
     def test_explicit_join_on_uses_index(self):
         query = "SELECT C.cname, S.sname FROM course C JOIN student S ON C.cid = S.cid"
-        executor = SQLExecutor(_db(), auto_index=True)
+        executor = SQLExecutor(_db(), config=EngineConfig(auto_index=True))
         assert "IndexNestedLoopJoin" in executor.explain(query)
-        naive = SQLExecutor(_db(), optimize=False).query_rows(query)
+        naive = SQLExecutor(_db(), config=EngineConfig(optimize=False)).query_rows(query)
         assert sorted(executor.query_rows(query)) == sorted(naive)
 
     def test_left_join_is_never_index_joined(self):
         query = (
             "SELECT C.cname, S.sname FROM course C LEFT OUTER JOIN student S ON C.cid = S.cid"
         )
-        executor = SQLExecutor(_db(), auto_index=True)
+        executor = SQLExecutor(_db(), config=EngineConfig(auto_index=True))
         assert "IndexNestedLoopJoin" not in executor.explain(query)
 
     def test_index_join_skips_null_keys(self):
         db = _db()
         db.table("student").insert((200, None, "ghost"))
-        indexed = SQLExecutor(db, auto_index=True).query_rows(self.QUERY)
+        indexed = SQLExecutor(db, config=EngineConfig(auto_index=True)).query_rows(self.QUERY)
         hashed = SQLExecutor(db).query_rows(self.QUERY)
         assert sorted(indexed) == sorted(hashed)
         assert all(row[1] != "ghost" for row in indexed)
@@ -172,6 +175,6 @@ class TestIndexJoinSelection:
             "SELECT C.cname, S.sname FROM course C, student S "
             "WHERE C.cid = S.cid AND S.sname <> 's1'"
         )
-        indexed = SQLExecutor(_db(), auto_index=True).query_rows(query)
-        naive = SQLExecutor(_db(), optimize=False).query_rows(query)
+        indexed = SQLExecutor(_db(), config=EngineConfig(auto_index=True)).query_rows(query)
+        naive = SQLExecutor(_db(), config=EngineConfig(optimize=False)).query_rows(query)
         assert sorted(indexed) == sorted(naive)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.sql.executor import SQLExecutor
 from repro.sql.planner import tables_read
 
@@ -52,7 +53,7 @@ class TestReadSets:
         assert reads == {"staff", "student"}
 
     def test_index_scan_plan_reports_its_table(self, sample_db):
-        executor = SQLExecutor(sample_db, auto_index=True)
+        executor = SQLExecutor(sample_db, config=EngineConfig(auto_index=True))
         query = "SELECT cname FROM course WHERE cid = 10"
         assert "IndexScan" in executor.explain(query)
         assert executor.read_set(query) == {"course"}
@@ -121,8 +122,6 @@ class TestDeltaFootprint:
         assert {"staff", "course"} <= reads
 
     def test_index_join_inner_table_is_in_read_set(self, sample_db):
-        from repro.config import EngineConfig
-
         executor = SQLExecutor(sample_db, config=EngineConfig(auto_index=True))
         query = (
             "SELECT S.sname FROM student S, course C WHERE S.cid = C.cid"

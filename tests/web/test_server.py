@@ -8,6 +8,7 @@ actions resolved first-committer-wins and attributed deterministically.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -20,7 +21,7 @@ from repro.apps.minicms import (
 )
 from repro.web.container import HildaApplication
 from repro.web.forms import encode_action
-from repro.web.server import HttpBrowser, ThreadedHildaServer
+from repro.web.server import MAX_BODY_BYTES, HttpBrowser, ThreadedHildaServer
 from repro.web.sessions import SESSION_COOKIE
 
 
@@ -184,3 +185,55 @@ class TestShutdownWithKeepAlive:
         assert browser.login(ADMIN_USER).ok
         server.shutdown()
         server.shutdown()  # second call must be a clean no-op
+
+
+def _exchange(server, raw: bytes) -> bytes:
+    """Send ``raw`` on a fresh connection that the client never closes, and
+    return everything the server writes before it closes its side."""
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _post(length: str, body: bytes = b"") -> bytes:
+    head = (
+        "POST /action HTTP/1.1\r\n"
+        "Host: test\r\n"
+        "Content-Type: application/x-www-form-urlencoded\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+class TestMalformedRequestBodies:
+    """A malformed POST gets one error response and a closed connection:
+    no parked handler thread, no dropped socket, and no second request
+    parsed out of its body."""
+
+    #: A request smuggled into the body; answering it would be a 404.
+    SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    @pytest.mark.parametrize("length", ["-1", "-5", "abc", "", "+3", "1_0"])
+    def test_bad_content_length_is_400_and_closes(self, server, length):
+        reply = _exchange(server, _post(length, self.SMUGGLED))
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_body_over_the_cap_is_413_without_reading_it(self, server):
+        reply = _exchange(server, _post(str(MAX_BODY_BYTES + 1)))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+
+    def test_undecodable_body_is_400_without_a_traceback(self, server, capsys):
+        reply = _exchange(server, _post("2", b"\xff\xfe"))
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert "Traceback" not in capsys.readouterr().err
+        # The server keeps serving well-formed requests.
+        assert HttpBrowser(server.url).login(ADMIN_USER).ok
