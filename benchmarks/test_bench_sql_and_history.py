@@ -91,7 +91,7 @@ def test_bench_join_strategy_shape(benchmark):
 
 
 def _engine_with_operation_log(program, operations: int) -> HildaEngine:
-    engine = fresh_engine(program)
+    engine = fresh_engine(program, EngineConfig(record_history=True))
     session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
     session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
     for index in range(operations):

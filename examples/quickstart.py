@@ -25,7 +25,7 @@ The full API reference is in docs/api.md.
 
 from __future__ import annotations
 
-from repro.api import AppBuilder, aunit, build_app, table
+from repro.api import AppBuilder, EngineConfig, aunit, build_app, table
 from repro.web import HttpBrowser, ThreadedHildaServer
 
 
@@ -60,7 +60,8 @@ def main() -> None:
     # 1. Build the three-tier application straight from the builder: the
     #    facade resolves + validates the program and wires engine, page
     #    renderer and session manager together under the server defaults.
-    app = build_app(author_guestbook())
+    #    The engine keeps its operation history only on request (step 6).
+    app = build_app(author_guestbook(), engine_config=EngineConfig(record_history=True))
     engine = app.engine
 
     # 2. Two users connect; each gets a session (a root AUnit instance).

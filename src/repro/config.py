@@ -330,8 +330,10 @@ class EngineConfig:
     #: ``"eager"`` rebuilds every session after each operation; ``"lazy"``
     #: defers other sessions' rebuilds until they are accessed.
     reactivation: str = "eager"
-    #: Keep an :class:`~repro.runtime.history.ExecutionHistory`.
-    record_history: bool = True
+    #: Keep an :class:`~repro.runtime.history.ExecutionHistory` of every
+    #: operation.  Off by default: the history is never trimmed, and each
+    #: entry holds a copy of the set of active instance ids.
+    record_history: bool = False
     #: Derive AUnit instance ids from the owning session's number instead
     #: of one global counter, so instance ids are reproducible regardless
     #: of which worker process builds the session (see docs/cluster.md).

@@ -20,15 +20,19 @@ reactivation keeps unaffected subtrees' table objects alive, so a write to
 ``grades`` no longer evicts cached pages that only read ``courses`` — the
 fingerprints of untouched subtrees are simply unchanged.  The coarse mode
 (``dependency_tracking=False``) reproduces the old behaviour of keying on
-the engine-global state version.  The cache is LRU-bounded; see
-``docs/caching.md``.
+the engine-global state version.  Entries are keyed on ``(instance id,
+PUnit name)`` and hold ``(stamp, fragment)``: a re-render replaces its
+instance's entry instead of leaving the stale one behind, and the entries
+of instances that leave the forest are retired through the engine's
+:meth:`~repro.runtime.engine.HildaEngine.on_instances_retired` hook.  The
+cache is also LRU-bounded; see ``docs/caching.md``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.config import DEFAULT_FRAGMENT_CACHE_SIZE
 from repro.hilda.ast import PUnitDecl, PUnitInclude
@@ -112,10 +116,18 @@ class PageRenderer:
         )
         self.fragment_cache_size = fragment_cache_size
         self.stats = RenderStats()
-        self._fragment_cache: "OrderedDict[Tuple, str]" = OrderedDict()
+        #: (instance id, PUnit name) -> (stamp, fragment).
+        self._fragment_cache: "OrderedDict[Tuple[int, Optional[str]], Tuple[Any, str]]" = (
+            OrderedDict()
+        )
+        #: instance id -> the PUnit names it has cache entries under, so
+        #: retiring an instance drops its entries without scanning the cache.
+        self._cached_punits: Dict[int, Set[Optional[str]]] = {}
         #: Guards the fragment cache and its hit/miss counters when several
         #: request threads render concurrently (see docs/concurrency.md).
         self._cache_lock = threading.Lock()
+        if cache_fragments:
+            engine.on_instances_retired(self.forget_instances)
 
     # -- public API -------------------------------------------------------------
 
@@ -153,30 +165,46 @@ class PageRenderer:
                 stamp = self._fingerprint(instance, _memo)
             else:
                 stamp = self.engine.state_version
-            cache_key = (instance.instance_id, punit_name, stamp)
+            cache_key = (instance.instance_id, punit_name)
             with self._cache_lock:
                 cached = self._fragment_cache.get(cache_key)
-                if cached is not None:
+                if cached is not None and cached[0] == stamp:
                     self._fragment_cache.move_to_end(cache_key)
                     self.stats.hits += 1
-                    return cached
+                    return cached[1]
                 self.stats.misses += 1
 
         fragment = self._render_fragment(instance, punit_name, _memo)
 
         if self.cache_fragments:
             with self._cache_lock:
-                self._fragment_cache[cache_key] = fragment
+                self._fragment_cache[cache_key] = (stamp, fragment)
                 self._fragment_cache.move_to_end(cache_key)
+                self._cached_punits.setdefault(cache_key[0], set()).add(punit_name)
                 if self.fragment_cache_size is not None:
                     while len(self._fragment_cache) > self.fragment_cache_size:
-                        self._fragment_cache.popitem(last=False)
+                        evicted, _ = self._fragment_cache.popitem(last=False)
+                        self._unindex(evicted)
                         self.stats.evictions += 1
         return fragment
+
+    def forget_instances(self, instance_ids: Iterable[int]) -> None:
+        """Drop the cached fragments of instances that left the forest."""
+        with self._cache_lock:
+            for instance_id in instance_ids:
+                for punit_name in self._cached_punits.pop(instance_id, ()):
+                    del self._fragment_cache[(instance_id, punit_name)]
 
     def clear_cache(self) -> None:
         with self._cache_lock:
             self._fragment_cache.clear()
+            self._cached_punits.clear()
+
+    def _unindex(self, key: Tuple[int, Optional[str]]) -> None:
+        names = self._cached_punits[key[0]]
+        names.discard(key[1])
+        if not names:
+            del self._cached_punits[key[0]]
 
     # -- internals -----------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Tables store rows as plain tuples and enforce their schema on every
 mutation.  Hilda assignments (``table :- SELECT ...``) replace the entire
 contents of the target table, so :meth:`Table.replace` is the primitive the
-runtime uses; the web baseline and the SQL DML statements additionally use
+runtime uses, except for the append idiom (``T :- SELECT ... FROM T UNION
+ALL Q``), which it runs as one atomic :meth:`Table.insert_many` of ``Q``'s
+rows; the web baseline and the SQL DML statements additionally use
 insert/delete/update.
 
 Beyond the primary-key map, a table can carry **secondary hash indexes**
@@ -128,8 +130,7 @@ class Table:
         self._stats: Optional[StatisticsMaintainer] = None
         for columns in schema.indexes:
             self.create_index(columns)
-        for row in rows:
-            self.insert(row)
+        self.insert_many(rows)
 
     # -- properties ----------------------------------------------------------
 
@@ -196,24 +197,12 @@ class Table:
     # -- mutation -------------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> Row:
-        """Insert a row after coercing it to the schema; returns the stored row."""
+        """Insert a row after coercing it to the schema; returns the stored row.
+
+        The one-row case of :meth:`insert_many`.
+        """
         row = self.schema.coerce_row(values)
-        with self._lock:
-            if self._key_index is not None:
-                key = self.schema.key_of(row)
-                if key in self._key_index:
-                    raise IntegrityError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
-                self._key_index[key] = row
-            self._rows.append(row)
-            if self._indexes:
-                self._index_add(row)
-            if self._stats is not None:
-                self._stats.add_row(row)
-            self._version = next(_version_clock)
-            if self._journal is not None or self._delta_hook is not None:
-                self._emit({"op": "insert", "row": row, "version": self._version})
+        self._append_rows([row])
         return row
 
     def insert_mapping(self, mapping: Dict[str, Any]) -> Row:
@@ -221,11 +210,43 @@ class Table:
         return self.insert(self.schema.row_from_mapping(mapping))
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Append ``rows`` atomically; returns the number inserted.
+
+        Every key is checked against the key map and within the batch before
+        anything is touched, so a clash raises :class:`IntegrityError` and
+        leaves the rows, indexes, version and journal exactly as they were.
+        A non-empty batch bumps the version once and emits one ``insert``
+        op; an empty one changes nothing.
+        """
+        coerced = [self.schema.coerce_row(row) for row in rows]
+        self._append_rows(coerced)
+        return len(coerced)
+
+    def _append_rows(self, rows: List[Row]) -> None:
+        if not rows:
+            return
+        with self._lock:
+            if self._key_index is not None:
+                key_of = self.schema.key_of
+                keys = [key_of(row) for row in rows]
+                batch = set()
+                for key in keys:
+                    if key in self._key_index or key in batch:
+                        raise IntegrityError(
+                            f"duplicate primary key {key!r} in table {self.name!r}"
+                        )
+                    batch.add(key)
+                self._key_index.update(zip(keys, rows))
+            self._rows.extend(rows)
+            if self._indexes:
+                for row in rows:
+                    self._index_add(row)
+            if self._stats is not None:
+                for row in rows:
+                    self._stats.add_row(row)
+            self._version = next(_version_clock)
+            if self._journal is not None or self._delta_hook is not None:
+                self._emit({"op": "insert", "rows": tuple(rows), "version": self._version})
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the number removed.

@@ -21,7 +21,7 @@ the activation, return and reactivation phases.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.config import EngineConfig
 from repro.errors import HandlerError, UnknownTableError
@@ -30,6 +30,7 @@ from repro.relational.database import Catalog
 from repro.relational.functions import FunctionRegistry
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
+from repro.sql.ast import ColumnRef, Query, SelectItem, SelectQuery, Star, TableRef, UnionQuery
 from repro.sql.executor import SQLExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,6 +149,105 @@ def make_activation_tuple_table(schema: TableSchema, values) -> Table:
     return table
 
 
+class AppendSplit(NamedTuple):
+    """``T :- SELECT <T's columns> FROM T UNION ALL Q1 UNION ALL ...``, split.
+
+    ``columns`` is None for ``*``; ``branches`` are the ``Q`` queries in
+    order.  Whether ``table`` really names the assignment's target (and
+    ``columns`` its schema) is checked per execution.
+    """
+
+    table: str
+    columns: Optional[Tuple[str, ...]]
+    branches: Tuple[Query, ...]
+
+
+def append_split(query: Query) -> Optional[AppendSplit]:
+    """Recognise the append idiom; None for every other query shape.
+
+    The query must be a left-deep spine of ``UNION ALL`` whose leftmost
+    leaf is a bare ``SELECT * FROM T [alias]`` or ``SELECT c1, ..., cn FROM
+    T [alias]`` — no WHERE, GROUP BY, HAVING, ORDER BY, LIMIT or DISTINCT.
+    """
+    branches: List[Query] = []
+    node = query
+    while isinstance(node, UnionQuery):
+        if not node.all:
+            return None
+        branches.append(node.right)
+        node = node.left
+    if not branches or not isinstance(node, SelectQuery):
+        return None
+    if (
+        len(node.from_items) != 1
+        or not isinstance(node.from_items[0], TableRef)
+        or node.where is not None
+        or node.group_by
+        or node.having is not None
+        or node.order_by
+        or node.limit is not None
+        or node.distinct
+    ):
+        return None
+    source = node.from_items[0]
+    own = (None, source.binding_name)
+    columns: Optional[Tuple[str, ...]] = None
+    if not (len(node.items) == 1 and isinstance(node.items[0], Star)):
+        names: List[str] = []
+        for item in node.items:
+            if not isinstance(item, SelectItem) or not isinstance(item.expression, ColumnRef):
+                return None
+            ref = item.expression
+            if ref.qualifier not in own or ref.is_positional:
+                return None
+            names.append(ref.name)
+        columns = tuple(names)
+    elif node.items[0].qualifier not in own:
+        return None
+    branches.reverse()
+    return AppendSplit(source.name, columns, tuple(branches))
+
+
+def _cached_append_split(executor: SQLExecutor, query: Query) -> Optional[AppendSplit]:
+    caches = executor.caches
+    entry = caches.appends.get(id(query))
+    if entry is None:
+        entry = (query, append_split(query))
+        with caches.lock:
+            caches.appends[id(query)] = entry
+    return entry[1]
+
+
+def _appended_rows(
+    executor: SQLExecutor, query: Query, catalog: Catalog, target: Table
+) -> Optional[List[Tuple[Any, ...]]]:
+    """``Q``'s rows when ``query`` appends ``Q`` to ``target``; else None.
+
+    None sends the assignment down the whole-table ``replace`` path: the
+    shape is not the idiom, the leaf reads something other than the target
+    (an ``in.``/``out.`` shadow, a reordered column list), or a branch's
+    arity differs from the target's — there the full query raises the
+    executor's own error.
+    """
+    split = _cached_append_split(executor, query)
+    if split is None:
+        return None
+    try:
+        source = catalog.resolve_table(split.table)
+    except UnknownTableError:
+        return None
+    schema = target.schema
+    if source is not target or split.columns not in (None, schema.column_names):
+        return None
+    rows: List[Tuple[Any, ...]] = []
+    for branch in split.branches:
+        relation = executor.execute_query(branch)
+        if relation.arity != schema.arity:
+            return None
+        rows.extend(relation.rows)
+    return rows
+
+
 def run_assignments(
     assignments: Iterable[Assignment],
     catalog: Catalog,
@@ -163,7 +263,11 @@ def run_assignments(
     ``resolve_target`` maps an :class:`Assignment` to the :class:`Table` it
     writes.  Each query is fully materialised before its target is replaced,
     so an assignment may read the previous contents of the table it writes
-    (``problem :- SELECT ... FROM problem UNION ...``).
+    (``problem :- SELECT ... FROM problem UNION ...``).  The append idiom
+    ``T :- SELECT ... FROM T UNION ALL Q`` (:func:`append_split`) evaluates
+    only ``Q`` and appends its rows with one atomic
+    :meth:`Table.insert_many`, which leaves ``T`` exactly as ``replace``
+    would at O(|Q|) instead of O(|T|) cost.
 
     ``executor_factory`` (catalog -> :class:`SQLExecutor`) lets the engine
     supply executors wired to its shared parse/plan/compile caches and
@@ -192,9 +296,14 @@ def run_assignments(
             )
         if read_tracker is not None:
             read_tracker |= executor.read_set(assignment.query.query)
-        relation = executor.execute_query(assignment.query.query)
+        query = assignment.query.query
+        appended = _appended_rows(executor, query, catalog, target)
+        if appended is None:
+            write, rows = target.replace, executor.execute_query(query).rows
+        else:
+            write, rows = target.insert_many, appended
         try:
-            target.replace(relation.rows)
+            write(rows)
         except Exception as exc:
             raise HandlerError(
                 f"{location}: assignment to {assignment.target!r} failed: {exc}"

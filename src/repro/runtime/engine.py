@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config import DEFAULT_ACTIVATION_CACHE_SIZE, EngineConfig
 from repro.errors import (
@@ -145,6 +145,9 @@ class HildaEngine:
         #: pins the id.  Swept wholesale when it outgrows the plan cache.
         self._delta_programs: Dict[int, Tuple[Any, Optional[DeltaProgram]]] = {}
         self.forest = ActivationForest()
+        #: Told the ids of instances that leave the forest (a rebuild drops
+        #: them, or their session closes); see :meth:`on_instances_retired`.
+        self._retire_listeners: List[Callable[[List[int]], None]] = []
         self.history: Optional[ExecutionHistory] = (
             ExecutionHistory() if config.record_history else None
         )
@@ -693,11 +696,27 @@ class HildaEngine:
             self.forest.add_root(session_id, root)
         return session_id
 
+    def on_instances_retired(self, listener: Callable[[List[int]], None]) -> None:
+        """Call ``listener(instance_ids)`` whenever instances leave the forest.
+
+        Fired under the write lock after a session rebuild drops instances
+        and when a session closes; the page renderer uses it to retire the
+        cached fragments of instances that can never render again.
+        """
+        self._retire_listeners.append(listener)
+
+    def _retire(self, instance_ids: List[int]) -> None:
+        if instance_ids:
+            for listener in self._retire_listeners:
+                listener(instance_ids)
+
     def close_session(self, session_id: str) -> None:
         """Deactivate a session's root instance (and thereby its whole tree)."""
         with self.session_locks.holding(session_id):
             with self._rw.write():
-                self.forest.remove_session(session_id)
+                root = self.forest.remove_session(session_id)
+                if self._retire_listeners:
+                    self._retire([node.instance_id for node in root.walk()])
                 self._session_inputs.pop(session_id, None)
                 self._dirty_sessions.discard(session_id)
                 self._dirty_markers.pop(session_id, None)
@@ -979,15 +998,20 @@ class HildaEngine:
         )
         self.forest.replace_root(session_id, new_root)
         marker = self._dirty_markers.pop(session_id, None)
+        if marker is None and not self._retire_listeners:
+            return
+        new_ids = {node.instance_id for node in new_root.walk()}
+        vanished = [
+            node.instance_id for node in old_root.walk() if node.instance_id not in new_ids
+        ]
         if marker is not None:
             # Deferred (lazy) rebuild: attribute instances that vanished to
             # the first operation that staled this session, unless a more
             # precise attribution was already recorded.
-            new_ids = {node.instance_id for node in new_root.walk()}
-            for node in old_root.walk():
-                if node.instance_id not in new_ids:
-                    self._invalidated_by.setdefault(node.instance_id, marker)
+            for instance_id in vanished:
+                self._invalidated_by.setdefault(instance_id, marker)
             self._trim_invalidation_log()
+        self._retire(vanished)
 
     # ------------------------------------------------------------------
     # History

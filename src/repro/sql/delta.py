@@ -211,7 +211,7 @@ class DeltaLog:
         log.tail_version = version
         record: Optional[DeltaRecord] = None
         if kind == "insert":
-            record = DeltaRecord(prev, version, inserted=(op["row"],))
+            record = DeltaRecord(prev, version, inserted=op["rows"])
         elif kind == "delete":
             record = DeltaRecord(prev, version, deleted=tuple(op["rows"]))
         elif kind == "update":

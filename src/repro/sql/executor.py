@@ -84,6 +84,7 @@ class SQLCaches:
         "live_plans",
         "feedback",
         "estimation",
+        "appends",
         "lock",
     )
 
@@ -118,6 +119,10 @@ class SQLCaches:
         #: Engine-scoped estimate-vs-actual totals (EXPLAIN ANALYZE and the
         #: feedback observation pass), surfaced in benchmark artifacts.
         self.estimation = EstimationStats()
+        #: id(assignment query) -> (query, append split or None): the Hilda
+        #: runtime's plan-time recognition of ``T :- SELECT ... FROM T
+        #: UNION ALL Q`` (``repro.runtime.context``); the query pins its id.
+        self.appends: Dict[int, Tuple[Query, Any]] = {}
         self.lock = threading.Lock()
 
 

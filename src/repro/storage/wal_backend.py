@@ -201,7 +201,7 @@ class WalBackend(StorageBackend):
     def _journal(self, aunit_name: str, table_name: str, op: Dict[str, Any]) -> None:
         kind = op["op"]
         if kind == "insert":
-            record = ("insert", aunit_name, table_name, op["row"], op["version"])
+            record = ("insert", aunit_name, table_name, op["rows"], op["version"])
         elif kind == "delete":
             record = ("delete", aunit_name, table_name, op["rows"], op["version"])
         elif kind == "update":
@@ -306,9 +306,9 @@ class WalBackend(StorageBackend):
             entry["rows"] = list(rows)
             entry["version"] = version
         elif kind == "insert":
-            _, aunit_name, table_name, row, version = op
+            _, aunit_name, table_name, rows, version = op
             entry = self._entry(aunit_name, table_name)
-            entry["rows"].append(row)
+            entry["rows"].extend(rows)
             entry["version"] = version
         elif kind == "delete":
             _, aunit_name, table_name, rows, version = op

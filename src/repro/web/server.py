@@ -134,8 +134,11 @@ class _HildaRequestHandler(BaseHTTPRequestHandler):
         for name, value in response.set_cookies.items():
             self.send_header("Set-Cookie", format_set_cookie(name, value))
         self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        # Head and body leave in one write, as rpc.send_frame does: with
+        # Nagle on, a body sent after the head waits for the client's
+        # delayed ACK of the head (about 40 ms per response).
+        self._headers_buffer.append(b"\r\n" + payload)
+        self.flush_headers()
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):

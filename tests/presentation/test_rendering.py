@@ -83,3 +83,69 @@ class TestPageRenderer:
         before_hits = renderer.stats.cache_hits
         html = renderer.render_session(session)
         assert "X" in html  # fresh content, not the cached fragment
+
+
+POSTING_SOURCE = """
+root aunit Wall {
+    input schema { user(name:string) }
+    persist schema { post(author:string, seq:int, text:string) }
+
+    activator ActPosts : ShowTable(int, string) {
+        input query {
+            ShowTable.input :-
+                SELECT P.seq, P.text FROM post P, user U
+                WHERE P.author = U.name ORDER BY P.seq
+        }
+    }
+
+    activator ActPost : GetRow(int, string) {
+        handler Posted {
+            action {
+                post :-
+                    SELECT P.author, P.seq, P.text FROM post P
+                    UNION ALL
+                    SELECT U.name, O.c1, O.c2 FROM user U, GetRow.output O
+            }
+        }
+    }
+}
+"""
+
+
+class TestFragmentCacheRetirement:
+    """Entries follow live instances: a re-render replaces its instance's
+    entry, and instances that leave the forest take theirs along."""
+
+    @pytest.fixture
+    def wall(self):
+        from repro.api import build_program
+        from repro.runtime.engine import HildaEngine
+
+        engine = HildaEngine(build_program(POSTING_SOURCE))
+        sessions = [engine.start_session({"user": [(name,)]}) for name in ("ann", "bob")]
+        return engine, sessions, PageRenderer(engine, cache_fragments=True)
+
+    @staticmethod
+    def _live_pairs(engine, renderer):
+        live = {node.instance_id for node in engine.forest.all_instances()}
+        return {key for key in renderer._fragment_cache if key[0] in live}
+
+    def test_cache_holds_only_live_instance_punit_pairs(self, wall):
+        engine, sessions, renderer = wall
+        for step in range(30):
+            session = sessions[step % 2]
+            box = engine.find_instances("GetRow", session_id=session)[0]
+            assert engine.perform(box.instance_id, [step, f"post {step}"]).status == "applied"
+            for each in sessions:
+                renderer.render_session(each)
+            assert set(renderer._fragment_cache) == self._live_pairs(engine, renderer)
+        assert len(renderer._fragment_cache) <= len(list(engine.forest.all_instances()))
+
+    def test_closing_a_session_retires_its_fragments(self, wall):
+        engine, sessions, renderer = wall
+        for session in sessions:
+            renderer.render_session(session)
+        closed = {node.instance_id for node in engine.session_tree(sessions[0]).walk()}
+        engine.close_session(sessions[0])
+        assert not any(key[0] in closed for key in renderer._fragment_cache)
+        assert renderer._fragment_cache

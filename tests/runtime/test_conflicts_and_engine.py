@@ -142,31 +142,43 @@ class TestLazyReactivation:
             HildaEngine(minicms_program, config=EngineConfig(reactivation="sometimes"))
 
 
+@pytest.fixture
+def recorded_students(minicms_program):
+    engine = HildaEngine(minicms_program, config=EngineConfig(record_history=True))
+    seed_paper_scenario(engine)
+    session1 = engine.start_session({"user": [(STUDENT1_USER,)]})
+    session2 = engine.start_session({"user": [(STUDENT2_USER,)]})
+    return engine, session1, session2
+
+
 class TestEngineHistory:
-    def test_history_records_every_operation(self, two_students):
-        engine, session1, session2 = two_students
+    def test_history_records_every_operation(self, recorded_students):
+        engine, session1, session2 = recorded_students
         engine.perform(withdraw_instance(engine, session1).instance_id)
         engine.perform(99999)  # conflict
         assert len(engine.history) == 2
         assert len(engine.history.applied()) == 1
         assert len(engine.history.conflicts()) == 1
 
-    def test_history_checker_accepts_engine_histories(self, two_students):
-        engine, session1, session2 = two_students
+    def test_history_checker_accepts_engine_histories(self, recorded_students):
+        engine, session1, session2 = recorded_students
         accept = accept_instance(engine, session2)
         engine.perform(withdraw_instance(engine, session1).instance_id)
         engine.perform(accept.instance_id)
         checker = HistoryChecker(engine.history)
         assert checker.check(), checker.explain()
 
-    def test_history_checker_flags_fabricated_violation(self, two_students):
-        engine, session1, _ = two_students
+    def test_history_checker_flags_fabricated_violation(self, recorded_students):
+        engine, session1, _ = recorded_students
         engine.perform(withdraw_instance(engine, session1).instance_id)
         entry = engine.history.entries[0]
         entry.active_ids_before.discard(entry.operation.instance_id)
         checker = HistoryChecker(engine.history)
         assert not checker.check()
         assert "was applied" in checker.explain()
+
+    def test_history_is_off_by_default(self, minicms_engine):
+        assert minicms_engine.history is None
 
     def test_history_can_be_disabled(self, minicms_program):
         engine = HildaEngine(minicms_program, config=EngineConfig(record_history=False))

@@ -84,7 +84,7 @@ class TestWalCompose:
             op for op in _course_ops(data_dir)[wal_before:] if op[0] == "insert"
         ]
         assert len(inserts) == 1  # journaled once, not twice
-        assert inserts[0][3] == (100, "New", 1)
+        assert inserts[0][3] == ((100, "New", 1),)  # the op carries a tuple of rows
         fresh = engine.delta_log.records_for(course)[delta_before:]
         assert len(fresh) == 1
         assert fresh[0].inserted == ((100, "New", 1),)

@@ -9,6 +9,7 @@ actions resolved first-committer-wins and attributed deterministically.
 from __future__ import annotations
 
 import socket
+import socketserver
 import threading
 
 import pytest
@@ -80,6 +81,27 @@ class TestHttpRoundTrip:
         assert host == "127.0.0.1" and port > 0
         assert server.url == f"http://127.0.0.1:{port}"
         server.shutdown()  # never started: must be a no-op
+
+
+class TestResponseWrites:
+    def test_200_response_reaches_the_socket_in_one_write(self, server, monkeypatch):
+        # A head sent apart from its body makes Nagle hold the body back
+        # until the client's delayed ACK (about 40 ms per response).
+        browser = HttpBrowser(server.url)
+        assert browser.login(ADMIN_USER).ok
+        writes = []
+        original = socketserver._SocketWriter.write
+
+        def recording(self, data):
+            writes.append(bytes(data))
+            return original(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", recording)
+        page = browser.get("/")
+        assert page.status == 200
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 ")
+        assert writes[0].endswith(page.body.encode("utf-8"))
 
 
 class TestConcurrentServing:
