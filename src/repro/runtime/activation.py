@@ -26,7 +26,10 @@ Two dependency-tracking optimizations ride on the construction
   input tables when only a deeper subtree changed) instead of recomputed.
   Reused instances keep their IDs and table objects, which both preserves
   the first-committer-wins conflict semantics and keeps the renderer's
-  fragment fingerprints stable.
+  fragment fingerprints stable.  Under incremental maintenance an
+  activator whose versions *did* move is still reused when its activation
+  tuples and its children's input rows patch to what the old children
+  hold (:meth:`ActivationBuilder._results_unchanged`).
 """
 
 from __future__ import annotations
@@ -121,7 +124,9 @@ class ActivationBuilder:
 
         ``old_root`` is the session's previous tree during reactivation;
         when delta reactivation is enabled its dependency records drive
-        subtree reuse (see module doc).
+        subtree reuse (see module doc).  The result *is* ``old_root`` when
+        the rebuilt root adopted every child and table of it
+        (:meth:`_same_node`).
         """
         with self.engine.id_scope(session_id):
             return self._build_tree(session_id, input_rows, preserved, old_root)
@@ -169,6 +174,17 @@ class ActivationBuilder:
         self._initialise_local(root, preserved)
         self._pending_reparent = []
         self._activate_children(root, preserved, old_root if delta else None)
+        if delta and self._same_node(root, old_root):
+            # Every child was adopted and the root holds the old root's very
+            # tables: the rebuilt root is the old one, so keep it installed
+            # (with the fresh dependency records) instead of swapping it.
+            old_root.activator_deps = root.activator_deps
+            old_root.activator_act_deps = root.activator_act_deps
+            old_root.activator_input_deps = root.activator_input_deps
+            self.instances_built -= 1
+            self.instances_reused += 1
+            self._pending_reparent = []
+            return old_root
         # Commit point: only now that the whole tree built without raising is
         # the old tree mutated (adopted subtrees re-parented into the new
         # one).  An exception above leaves the installed tree untouched.
@@ -202,6 +218,21 @@ class ActivationBuilder:
             activation_tuple=activation_tuple,
             activation_schema=activator.activation_schema if activator is not None else None,
             session_id=session_id,
+        )
+
+    @staticmethod
+    def _same_node(new: AUnitInstance, old: AUnitInstance) -> bool:
+        """Is ``new`` a rebuild of ``old`` that adopted all its tables and children?
+
+        Instances and tables compare by identity, so plain ``==`` on the
+        lists and dicts checks that every element is the very same object.
+        """
+        return (
+            not old.returned
+            and new.children == old.children
+            and new.input_tables == old.input_tables
+            and new.local_tables == old.local_tables
+            and new.output_tables == old.output_tables
         )
 
     @staticmethod
@@ -429,32 +460,38 @@ class ActivationBuilder:
         """Prove one activator's *results* unchanged despite moved versions.
 
         Entered when the activator's combined dependency vector went stale.
-        If the input query's own footprint is still current, the only thing
-        that can differ is the activation tuple set — so re-evaluate the
-        activation query (served by the activation cache, which under
-        incremental maintenance patches its stale entry through the delta
-        program rather than recomputing) and compare against the old child
-        set.  Equal tuples mean a rebuild would reproduce the children
-        verbatim, so the caller may adopt them even though table versions
-        moved.
+        Two things could differ after a rebuild, and each gets its proof:
+
+        * the activation tuple set — unchanged when the activator has no
+          activation query, or when re-evaluating it (served by the
+          activation cache, which under incremental maintenance patches its
+          stale entry through the delta program rather than recomputing)
+          gives the old children's tuples;
+        * each child's input tables — unchanged when the input query's own
+          footprint is still current, or when every old child's maintained
+          input entry patches to the rows that child holds
+          (:meth:`HildaEngine.input_rows_unchanged`).
+
+        Both holding means a rebuild would reproduce the children verbatim,
+        so the caller may adopt them even though table versions moved.
         """
-        if self.engine.maintenance != "incremental":
-            return False
-        if activator.activation_query is None or activator.activation_filters:
+        if self.engine.maintenance != "incremental" or activator.activation_filters:
             return False
         input_deps = old_node.activator_input_deps.get(activator.name, _NO_RECORD)
         if input_deps is _NO_RECORD or input_deps is None:
             return False
-        if not deps_current(input_deps, catalog):
-            return False
-        tuples, _ = self._activation_tuples(instance, activator, catalog)
-        old_tuples = [
-            child.activation_tuple
-            for child in old_node.children
-            if child.activator_name == activator.name
+        old_children = [
+            child for child in old_node.children if child.activator_name == activator.name
         ]
-        if list(tuples) != old_tuples:
+        if not deps_current(input_deps, catalog) and not all(
+            self.engine.input_rows_unchanged(child, activator, catalog)
+            for child in old_children
+        ):
             return False
+        if activator.activation_query is not None:
+            tuples, _ = self._activation_tuples(instance, activator, catalog)
+            if list(tuples) != [child.activation_tuple for child in old_children]:
+                return False
         self.engine.maintenance_stats.results_unchanged += 1
         return True
 
@@ -585,6 +622,9 @@ class ActivationBuilder:
         def resolve_target(assignment: Assignment) -> Optional[Table]:
             return child.input_tables.get(assignment.simple_target)
 
+        def observe(executor, rows) -> None:
+            self.engine.input_cache_store(child, activator, rows, catalog, executor)
+
         run_assignments(
             activator.input_query,
             catalog,
@@ -593,4 +633,5 @@ class ActivationBuilder:
             location=f"{instance.decl.name}.{activator.name}.input_query",
             executor_factory=self.engine.make_executor,
             read_tracker=read_tracker,
+            observe=observe,
         )

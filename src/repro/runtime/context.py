@@ -257,6 +257,7 @@ def run_assignments(
     location: str = "",
     executor_factory=None,
     read_tracker=None,
+    observe=None,
 ) -> List[str]:
     """Execute a list of assignments sequentially.
 
@@ -278,6 +279,10 @@ def run_assignments(
     ``read_tracker``, when given, is a mutable set that collects the table
     read set of every executed query (the dependency footprint the runtime
     records for delta reactivation; see ``docs/caching.md``).
+
+    ``observe``, when given, is called as ``observe(executor, rows)`` after
+    each assignment that replaced its target with a query's ``rows`` (the
+    runtime keeps maintained input-query entries from them).
 
     Returns the list of written table names (as given in the assignments).
     """
@@ -308,5 +313,7 @@ def run_assignments(
             raise HandlerError(
                 f"{location}: assignment to {assignment.target!r} failed: {exc}"
             ) from exc
+        if observe is not None and appended is None:
+            observe(executor, rows)
         written.append(assignment.target)
     return written

@@ -61,7 +61,7 @@ from repro.runtime.history import ExecutionHistory
 from repro.runtime.instance import AUnitInstance, InstanceLabel
 from repro.runtime.operations import ApplyResult, Operation, OperationStatus
 from repro.runtime.returns import ReturnProcessor
-from repro.sql.delta import DeltaLog, DeltaProgram, build_delta_program
+from repro.sql.delta import DeltaLog, DeltaProgram, build_delta_program, per_child_reads
 from repro.sql.executor import SQLCaches, SQLExecutor
 from repro.sql.stats import CacheStats, MaintenanceStats
 from repro.storage.backend import create_backend
@@ -187,7 +187,9 @@ class HildaEngine:
                 self.functions.restore_sequential_keys(next_genkey)
 
         self._dirty_sessions: Set[str] = set()
-        #: (instance label, activator name) -> (validity stamp, cached rows).
+        #: (instance label, activator name) -> (validity stamp, cached rows,
+        #: delta program, provenance); under incremental maintenance also
+        #: ("input", child label) -> the same for a child's input query.
         #: The stamp is a dependency version vector under dependency
         #: tracking, or the global state version in the coarse mode.
         #: Ordered for LRU eviction past ``activation_cache_size``.
@@ -598,6 +600,85 @@ class HildaEngine:
         """
         if not self.cache_activation_queries:
             return
+        self._cache_store(
+            (instance.label, activator.name), rows, read_names, catalog, query, executor
+        )
+
+    def input_cache_store(
+        self,
+        child: AUnitInstance,
+        activator: ActivatorDecl,
+        rows: List[Tuple[Any, ...]],
+        catalog,
+        executor: SQLExecutor,
+    ) -> None:
+        """Keep a maintained entry for one child's input query (docs/caching.md §5).
+
+        Only under incremental maintenance, and only for an input query of
+        one assignment that reads no per-child table
+        (:func:`~repro.sql.delta.per_child_reads`): the entry lives in the
+        activation cache beside the activation entries, and is stored only
+        when its delta program's snapshot verifies against ``rows`` — it
+        exists solely to be patched by :meth:`input_rows_unchanged`.
+        """
+        if self.delta_log is None or not self.cache_activation_queries:
+            return
+        if len(activator.input_query) != 1:
+            return
+        query = activator.input_query[0].query.query
+        reads = executor.read_set(query)
+        if per_child_reads(reads) is not None:
+            return
+        self._cache_store(
+            ("input", child.label), rows, reads, catalog, query, executor,
+            maintained_only=True,
+        )
+
+    def input_rows_unchanged(
+        self, child: AUnitInstance, activator: ActivatorDecl, catalog
+    ) -> bool:
+        """Does re-running the child's input query give its current input rows?
+
+        Patches the child's maintained entry to the current table versions
+        through its delta program and compares the result, coerced as the
+        target table would store it, with the rows the old child holds.
+        ``catalog`` is the parent's read catalog.  False whenever no entry
+        exists or the patch bails (the caller rebuilds).
+        """
+        key = ("input", child.label)
+        cached = self._activation_cache.get(key)
+        if cached is None:
+            return False
+        stamp, rows = cached[0], cached[1]
+        if not deps_current(stamp, catalog):
+            rows = self._patch_activation_entry(key, cached, self.make_executor(catalog))
+            if rows is None:
+                self.maintenance_stats.bailouts += 1
+                del self._activation_cache[key]
+                return False
+        target = child.input_tables.get(activator.input_query[0].simple_target)
+        if target is None:
+            return False
+        if rows == target.rows:
+            return True  # already in the stored types: nothing to coerce
+        coerce = target.schema.coerce_row
+        return [coerce(row) for row in rows] == target.rows
+
+    def _cache_store(
+        self,
+        key: Tuple,
+        rows: List[Tuple[Any, ...]],
+        read_names,
+        catalog,
+        query,
+        executor: Optional[SQLExecutor],
+        maintained_only: bool = False,
+    ) -> None:
+        """Store one activation-cache entry (see :meth:`activation_cache_store`).
+
+        ``maintained_only`` stores nothing unless the entry carries a
+        verified delta program.
+        """
         if query is not None and self.query_is_global(query):
             # Cross-shard reads cannot be validated by local version stamps
             # (a peer's write bumps no local table version), so the entry
@@ -633,9 +714,11 @@ class HildaEngine:
                     except UnknownTableError:
                         program = None
                         sources = None
+        if maintained_only and sources is None:
+            return
         cache = self._activation_cache
-        cache[(instance.label, activator.name)] = (stamp, list(rows), program, sources)
-        cache.move_to_end((instance.label, activator.name))
+        cache[key] = (stamp, list(rows), program, sources)
+        cache.move_to_end(key)
         if self.activation_cache_size is not None:
             while len(cache) > self.activation_cache_size:
                 cache.popitem(last=False)
@@ -996,6 +1079,11 @@ class HildaEngine:
         new_root = self._builder.build_session_tree(
             session_id, inputs, preserved, old_root=old_root
         )
+        if new_root is old_root:
+            # The builder kept the installed tree: nothing vanished and the
+            # forest's indexes already point at every node.
+            self._dirty_markers.pop(session_id, None)
+            return
         self.forest.replace_root(session_id, new_root)
         marker = self._dirty_markers.pop(session_id, None)
         if marker is None and not self._retire_listeners:

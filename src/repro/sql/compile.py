@@ -170,6 +170,32 @@ _ARITHMETIC = {
 }
 
 
+_COMPARISONS = {
+    "=": _operator.eq,
+    "<>": _operator.ne,
+    "<": _operator.lt,
+    "<=": _operator.le,
+    ">": _operator.gt,
+    ">=": _operator.ge,
+}
+
+
+def _compare_values(op: str, compare, left: Any, right: Any) -> Any:
+    """``_compare`` for two non-NULL values, skipping its normalisation when
+    both have the same class.
+
+    ``_normalize_pair`` only rewrites int/float-vs-str pairs (and passes
+    bools through), so a same-class pair compares exactly as ``_compare``
+    would; every other pair goes through ``_compare`` itself.
+    """
+    if left.__class__ is right.__class__:
+        try:
+            return compare(left, right)
+        except TypeError:
+            return None
+    return _compare(op, left, right)
+
+
 def _compile_binary(node: BinaryOp, layout, functions) -> RowFn:
     op = node.operator.upper()
     if op in ("AND", "OR"):
@@ -189,8 +215,16 @@ def _compile_binary(node: BinaryOp, layout, functions) -> RowFn:
     left = _compile(node.left, layout, functions)
     right = _compile(node.right, layout, functions)
 
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return lambda row: _compare(op, left(row), right(row))
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        def _comparison(row):
+            left_value = left(row)
+            right_value = right(row)
+            if left_value is None or right_value is None:
+                return None
+            return _compare_values(op, compare, left_value, right_value)
+
+        return _comparison
 
     if op == "/":
         def _divide(row):
@@ -248,7 +282,7 @@ def _compile_in(node: InExpression, layout, functions) -> RowFn:
             if candidate is None:
                 saw_null = True
                 continue
-            if _compare("=", left, candidate) is True:
+            if _compare_values("=", _operator.eq, left, candidate) is True:
                 found = True
                 break
         if negated:

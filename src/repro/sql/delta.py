@@ -15,17 +15,20 @@ cooperate:
 
 * :class:`DeltaProgram` is compiled from a physical plan whose shape the
   delta rules support: a left spine of filters and inner joins over exactly
-  one *source* table, optionally topped by a projection.  The program keeps
-  each cached output row paired with the source-table row that produced it
-  (*provenance pairs*) and maps source deltas to output edits that are
-  **byte- and order-identical** to what re-running the plan would produce —
-  inserts append (table append order), deletions drop all pairs sourced
-  from the deleted rows, and updates patch in place (scan order) or
-  re-append (index-bucket order).  Anything the rules cannot prove
-  order-exact — aggregates, sorts, subqueries, LEFT joins, deltas on a
-  non-source table, uncovered version spans, a cost bound exceeded —
-  returns ``None`` and the caller falls back to full recomputation, so the
-  bailout path is always correct-by-construction.
+  one *source* table, optionally topped by a sort and a projection.  The
+  program keeps each cached output row paired with the source-table row
+  that produced it (*provenance pairs*; under a sort also the row's sort
+  key) and maps source deltas to output edits that are **byte- and
+  order-identical** to what re-running the plan would produce — inserts
+  append (table append order) or, under a sort, land after their equal
+  keys; deletions drop all pairs sourced from the deleted rows; updates
+  patch in place (scan order) or re-append (index-bucket order).  A span
+  whose deltas all fall out of the spine leaves the result as it is.
+  Anything the rules cannot prove order-exact — aggregates, LIMIT,
+  subqueries, LEFT joins, updates reaching the output of a join or sort,
+  deltas on a non-source table, uncovered version spans, a cost bound
+  exceeded — returns ``None`` and the caller falls back to full
+  recomputation, so the bailout path is always correct-by-construction.
 
 Thread-safety: delta hooks fire inside the table lock; the runtime reads
 logs and patches cache entries only under the engine write lock, which also
@@ -35,6 +38,7 @@ serialises every table mutation, so readers and writers never interleave.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, UnknownTableError
@@ -51,9 +55,11 @@ from repro.sql.operators import (
     Operator,
     ProjectOp,
     ScanOp,
+    SortOp,
     _NO_MATCH,
     _index_probe_value,
     _indexable_literal,
+    _orderable,
     _projection_plan,
     _tuple_evaluator,
 )
@@ -68,6 +74,7 @@ __all__ = [
     "DeltaRecord",
     "build_delta_program",
     "describe_maintenance",
+    "per_child_reads",
 ]
 
 Row = Tuple[Any, ...]
@@ -272,17 +279,21 @@ class _Unsupported(ReproError):
 
 
 def _analyze_plan(plan: Operator):
-    """Decompose a plan into (leaf, steps, project) or raise _Unsupported.
+    """Decompose a plan into (leaf, steps, project, sort) or raise _Unsupported.
 
     The supported shape is a left spine over exactly one source table:
-    ``[ProjectOp?] (FilterOp | inner join)* (ScanOp | IndexScanOp)``, where
-    each join's right side is an arbitrary subtree *not* reading the source
-    table.  ``steps`` comes back bottom-up (leaf side first).
+    ``[ProjectOp?] [SortOp?] (FilterOp | inner join)* (ScanOp | IndexScanOp)``,
+    where each join's right side is an arbitrary subtree *not* reading the
+    source table.  ``steps`` comes back bottom-up (leaf side first).
     """
     node = plan
     project: Optional[ProjectOp] = None
     if isinstance(node, ProjectOp):
         project = node
+        node = node.child
+    sort: Optional[SortOp] = None
+    if isinstance(node, SortOp):
+        sort = node
         node = node.child
     steps: List[Tuple[str, Operator]] = []
     while True:
@@ -315,7 +326,7 @@ def _analyze_plan(plan: Operator):
             raise _Unsupported("source table joined with itself")
         if kind == "inlj" and op.table_name == source:
             raise _Unsupported("source table joined with itself")
-    return leaf, steps, project
+    return leaf, steps, project, sort
 
 
 def _reject_subqueries(plan: Operator) -> None:
@@ -338,11 +349,27 @@ def build_delta_program(
 def classify_plan(ast: Query, plan: Operator, tables: frozenset):
     """(program-or-None, human-readable reason) for a plan's delta support."""
     try:
-        leaf, steps, project = _analyze_plan(plan)
-        program = DeltaProgram(ast, plan, leaf, steps, project, tables)
+        leaf, steps, project, sort = _analyze_plan(plan)
+        program = DeltaProgram(ast, plan, leaf, steps, project, sort, tables)
     except _Unsupported as reason:
         return None, str(reason)
-    return program, f"delta spine over {leaf.table_name}"
+    sorted_note = " under a sort" if sort is not None else ""
+    return program, f"delta spine over {leaf.table_name}{sorted_note}"
+
+
+def per_child_reads(tables: frozenset) -> Optional[str]:
+    """Why a query reading ``tables`` is not maintained per child, or None.
+
+    A Hilda input query that reads ``activationTuple`` or a child-qualified
+    input table (``Child.table``) runs over tables created afresh for every
+    child, so no stored entry could ever be patched: it keeps recomputing.
+    """
+    if "activationTuple" in tables:
+        return "reads activationTuple"
+    for name in sorted(tables):
+        if "." in name and not name.startswith(("in.", "out.")):
+            return f"reads per-child table {name}"
+    return None
 
 
 def describe_maintenance(ast: Query, plan: Operator, tables: frozenset) -> str:
@@ -350,6 +377,9 @@ def describe_maintenance(ast: Query, plan: Operator, tables: frozenset) -> str:
     program, reason = classify_plan(ast, plan, tables)
     if program is None:
         return f"recompute ({reason})"
+    per_child = per_child_reads(tables)
+    if per_child is not None:
+        return f"recompute ({per_child})"
     return f"incremental ({reason})"
 
 
@@ -370,6 +400,8 @@ class _Runtime:
             for name in self.table.schema.column_names
         )
         self.admit, self.index_ordered = self._leaf_admit(leaf, self.table)
+        #: The spine's appliers, leaf side first; the projection is kept
+        #: apart because a sort reads the spine rows it projects away.
         self.appliers: List[Callable[[List[Row]], List[Row]]] = []
         for kind, node in program.steps:
             if kind == "filter":
@@ -383,8 +415,11 @@ class _Runtime:
             else:  # inlj
                 applier, columns = self._inlj_applier(node, columns)
                 self.appliers.append(applier)
-        if program.project is not None:
-            self.appliers.append(self._project_applier(program.project, columns))
+        self.program = program
+        self.columns = columns
+        #: (projection applier, sort-key fn), built on the first spine row:
+        #: a patch whose deltas all fall out of the spine never needs them.
+        self._finish: Optional[Tuple[Any, Any]] = None
 
     # -- leaf ----------------------------------------------------------------
 
@@ -465,21 +500,29 @@ class _Runtime:
         context = self.context
         right_rows = right.rows
 
-        def apply(rows: List[Row]) -> List[Row]:
-            out: List[Row] = []
-            for left_row in rows:
-                for right_row in right_rows:
-                    candidate = left_row + right_row
-                    if cross:
-                        accept = True
-                    elif condition_fn is not None:
-                        accept = condition_fn(candidate) is True
-                    else:
-                        scope = RowScope(combined, candidate, None)
-                        accept = context.predicate(condition, scope)
-                    if accept:
-                        out.append(candidate)
-            return out
+        if cross:
+            def apply(rows: List[Row]) -> List[Row]:
+                return [left_row + right_row for left_row in rows for right_row in right_rows]
+
+        elif condition_fn is not None:
+            def apply(rows: List[Row]) -> List[Row]:
+                return [
+                    candidate
+                    for left_row in rows
+                    for right_row in right_rows
+                    if condition_fn(candidate := left_row + right_row) is True
+                ]
+
+        else:
+            def apply(rows: List[Row]) -> List[Row]:
+                return [
+                    candidate
+                    for left_row in rows
+                    for right_row in right_rows
+                    if context.predicate(
+                        condition, RowScope(combined, candidate := left_row + right_row, None)
+                    )
+                ]
 
         return apply, combined_columns
 
@@ -581,18 +624,52 @@ class _Runtime:
 
         return apply
 
+    def _sort_key(self, node: SortOp, columns: Tuple[ColumnInfo, ...]):
+        """Row -> the per-item sort keys :meth:`SortOp.execute` orders by."""
+        values, _ = _tuple_evaluator(
+            self.context,
+            tuple(item.expression for item in node.order_by),
+            Relation(columns, []),
+            None,
+        )
+
+        def key(row: Row) -> Tuple[Any, ...]:
+            return tuple((value is None, _orderable(value)) for value in values(row))
+
+        return key
+
     # -- evaluation ----------------------------------------------------------
 
-    def outputs(self, source_row: Row, apply_leaf: bool = True) -> List[Row]:
-        """The plan's output rows produced by one source-table row."""
-        if apply_leaf and not self.admit(source_row):
-            return []
-        rows = [source_row]
+    def produce(self, source_rows: Sequence[Row], apply_leaf: bool = True) -> List[Tuple[Any, Row]]:
+        """``(provenance, output row)`` pairs of a batch of source rows.
+
+        The spine runs over the whole batch at once: every step keeps its
+        input order and joins append their right columns, so each spine
+        row starts with the source row it came from.  Provenance is that
+        source row, or ``(source row, sort key)`` under a sort so the patch
+        path can place inserted rows.
+        """
+        rows = [row for row in source_rows if self.admit(row)] if apply_leaf else source_rows
         for apply in self.appliers:
-            rows = apply(rows)
             if not rows:
-                return rows
-        return rows
+                break
+            rows = apply(rows)
+        if not rows:
+            return []
+        if self._finish is None:
+            program, columns = self.program, self.columns
+            self._finish = (
+                self._project_applier(program.project, columns)
+                if program.project is not None
+                else None,
+                self._sort_key(program.sort, columns) if program.sort is not None else None,
+            )
+        project, key = self._finish
+        width = self.table.schema.arity
+        outs = project(rows) if project is not None else rows
+        if key is None:
+            return [(row[:width], out) for row, out in zip(rows, outs)]
+        return [((row[:width], key(row)), out) for row, out in zip(rows, outs)]
 
 
 class DeltaProgram:
@@ -602,7 +679,9 @@ class DeltaProgram:
     plan; all mutable state (the provenance pairs) lives in the cache entry.
     """
 
-    __slots__ = ("ast", "plan", "leaf", "steps", "project", "tables", "source", "fanout")
+    __slots__ = (
+        "ast", "plan", "leaf", "steps", "project", "sort", "tables", "source", "fanout",
+    )
 
     def __init__(
         self,
@@ -611,6 +690,7 @@ class DeltaProgram:
         leaf: Operator,
         steps: List[Tuple[str, Operator]],
         project: Optional[ProjectOp],
+        sort: Optional[SortOp],
         tables: frozenset,
     ) -> None:
         self.ast = ast
@@ -618,16 +698,21 @@ class DeltaProgram:
         self.leaf = leaf
         self.steps = steps
         self.project = project
+        self.sort = sort
         self.tables = tables
         self.source = leaf.table_name
-        #: Work factor per delta row: one pass per spine step + projection.
-        self.fanout = max(1, len(steps) + (1 if project is not None else 0))
+        #: Work factor per delta row: one pass per spine step, projection
+        #: and sort.
+        self.fanout = max(1, len(steps) + (project is not None) + (sort is not None))
         if self.source not in tables:
             raise _Unsupported("source table missing from read set")
 
     @property
     def has_join(self) -> bool:
         return any(kind != "filter" for kind, _ in self.steps)
+
+    def _source_row(self, provenance: Any) -> Row:
+        return provenance[0] if self.sort is not None else provenance
 
     def snapshot(self, context: ExecutionContext, expected_rows: Sequence[Row]):
         """Provenance pairs for the current state, verified against the rows
@@ -636,14 +721,22 @@ class DeltaProgram:
             runtime = _Runtime(self, context)
         except (_Unsupported, UnknownTableError):
             return None
-        pairs: List[Tuple[Row, Row]] = []
         # The leaf's own execution yields the base rows in plan order (table
         # order for scans, bucket order for index scans), which seeds the
         # provenance order everything downstream preserves.
-        source_rows = self.leaf.execute(context, None).rows
-        for source_row in source_rows:
-            for out in runtime.outputs(source_row, apply_leaf=False):
-                pairs.append((source_row, out))
+        pairs = runtime.produce(self.leaf.execute(context, None).rows, apply_leaf=False)
+        if self.sort is not None:
+            # SortOp's own passes (last key first, each stable) over the
+            # spine order, replayed on the recorded keys.
+            items = self.sort.order_by
+            try:
+                for position in reversed(range(len(items))):
+                    pairs.sort(
+                        key=lambda pair, i=position: pair[0][1][i],
+                        reverse=items[position].descending,
+                    )
+            except TypeError:
+                return None
         if [out for _, out in pairs] != list(expected_rows):
             return None
         return pairs
@@ -688,13 +781,17 @@ class DeltaProgram:
             return None
         new_pairs = list(pairs)
         for record in records:
-            if record.deleted and not self._apply_delete(new_pairs, record.deleted):
-                return None
+            if record.deleted:
+                self._apply_delete(new_pairs, record.deleted)
             if record.changes and not self._apply_changes(new_pairs, record.changes, runtime):
                 return None
-            for row in record.inserted:
-                for out in runtime.outputs(row):
-                    new_pairs.append((row, out))
+            produced = runtime.produce(record.inserted)
+            if not produced:
+                continue
+            if self.sort is None:
+                new_pairs.extend(produced)
+            elif runtime.index_ordered or not self._place(new_pairs, produced):
+                return None
         new_stamp = tuple(
             (name, catalog.resolve_table(name).version) for name, _ in stamp
         )
@@ -715,27 +812,82 @@ class DeltaProgram:
             full_cost = float(len(source_table.rows) + 1)
         return n_delta * self.fanout > full_cost
 
-    @staticmethod
-    def _apply_delete(pairs: List[Tuple[Row, Row]], deleted: Tuple[Row, ...]) -> bool:
+    def _apply_delete(self, pairs: List[Tuple[Any, Row]], deleted: Tuple[Row, ...]) -> None:
         # delete_where removes *every* row matching a value-based predicate
         # (and replace-deletes are only classified when no deleted value
         # survives), so dropping all pairs sourced from the deleted values
-        # is positionally exact.
+        # is positionally exact -- under a sort too, since a stable sort of
+        # a subsequence is the subsequence of the stable sort.
         doomed = set(deleted)
-        pairs[:] = [pair for pair in pairs if pair[0] not in doomed]
+        source_row = self._source_row
+        pairs[:] = [pair for pair in pairs if source_row(pair[0]) not in doomed]
+
+    def _place(self, pairs: List[Tuple[Any, Row]], produced: List[Tuple[Any, Row]]) -> bool:
+        """Insert sorted-program outputs where :class:`SortOp` would put them.
+
+        An inserted source row comes last in spine order, so each of its
+        outputs lands after every row whose key ties with it (the sort is
+        stable): a binary search for the first row it strictly precedes.
+        False when the keys do not compare (the caller bails).
+
+        :class:`SortOp` sorts one full pass per item, so a key must compare
+        with the placed rows on *every* item, not only on the items the
+        search reached.  The placed rows compare with each other on every
+        item (they were sorted), so on each item the nearest non-NULL value
+        stands for all of them.
+        """
+        descending = tuple(item.descending for item in self.sort.order_by)
+
+        def precedes(key: Tuple[Any, ...], other: Tuple[Any, ...]) -> bool:
+            for mine, theirs, desc in zip(key, other, descending):
+                if mine < theirs:
+                    return not desc
+                if theirs < mine:
+                    return desc
+            return False
+
+        def check_comparable(key: Tuple[Any, ...], at: int) -> None:
+            for item, mine in enumerate(key):
+                if mine[0]:
+                    continue  # NULL orders by its flag alone
+                for index in chain(range(at, len(pairs)), range(at - 1, -1, -1)):
+                    theirs = pairs[index][0][1][item]
+                    if not theirs[0]:
+                        _ = mine[1] < theirs[1]  # TypeError when they do not compare
+                        break
+
+        try:
+            for provenance, out in produced:
+                low, high = 0, len(pairs)
+                while low < high:
+                    middle = (low + high) // 2
+                    if precedes(provenance[1], pairs[middle][0][1]):
+                        high = middle
+                    else:
+                        low = middle + 1
+                check_comparable(provenance[1], low)
+                pairs.insert(low, (provenance, out))
+        except TypeError:
+            return False
         return True
 
     def _apply_changes(
         self,
-        pairs: List[Tuple[Row, Row]],
+        pairs: List[Tuple[Any, Row]],
         changes: Tuple[Tuple[Row, Row], ...],
         runtime: _Runtime,
     ) -> bool:
-        if self.has_join:
-            return False  # per-row output counts vary; not order-provable
+        if self.has_join or self.sort is not None:
+            # Per-row output counts vary under a join, and a changed sort
+            # key moves its row: only an update that neither feeds nor
+            # leaves any output row is order-exact (it changes nothing).
+            sources = {self._source_row(provenance) for provenance, _ in pairs}
+            return not any(
+                old_row in sources or runtime.produce([new_row]) for old_row, new_row in changes
+            )
         for old_row, new_row in changes:
-            outs = runtime.outputs(new_row)
-            new_out = outs[0] if outs else None
+            outs = runtime.produce([new_row])
+            new_out = outs[0][1] if outs else None
             position = None
             for index, (source_row, _) in enumerate(pairs):
                 if source_row == old_row:

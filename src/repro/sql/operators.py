@@ -506,25 +506,49 @@ class NestedLoopJoinOp(Operator):
         condition_fn = None
         if self.join_type != "CROSS" and self.condition is not None:
             condition_fn = context.compiled(self.condition, combined)
-        rows: List[Tuple[Any, ...]] = []
-        for left_row in left_relation.rows:
-            matched = False
-            for right_row in right_relation.rows:
-                context.stats.join_probes += 1
-                candidate = left_row + right_row
-                if self.join_type == "CROSS":
-                    accept = True
-                elif condition_fn is not None:
-                    context.stats.compiled_evals += 1
-                    accept = condition_fn(candidate) is True
-                else:
-                    scope = RowScope(combined, candidate, outer_scope)
-                    accept = context.predicate(self.condition, scope)
-                if accept:
-                    rows.append(candidate)
-                    matched = True
-            if self.join_type == "LEFT" and not matched:
-                rows.append(left_row + null_right)
+        left_rows = left_relation.rows
+        right_rows = right_relation.rows
+        # Counted per invocation: every (left, right) pair is probed once.
+        probes = len(left_rows) * len(right_rows)
+        context.stats.join_probes += probes
+        rows: List[Tuple[Any, ...]]
+        if self.join_type == "CROSS":
+            rows = [left_row + right_row for left_row in left_rows for right_row in right_rows]
+        elif condition_fn is not None and self.join_type != "LEFT":
+            context.stats.compiled_evals += probes
+            rows = [
+                candidate
+                for left_row in left_rows
+                for right_row in right_rows
+                if condition_fn(candidate := left_row + right_row) is True
+            ]
+        else:
+            if condition_fn is not None:
+                context.stats.compiled_evals += probes
+
+                def accept(candidate):
+                    return condition_fn(candidate) is True
+
+            else:
+                condition = self.condition
+
+                def accept(candidate):
+                    return context.predicate(
+                        condition, RowScope(combined, candidate, outer_scope)
+                    )
+
+            pad = self.join_type == "LEFT"
+            rows = []
+            for left_row in left_rows:
+                matched = [
+                    candidate
+                    for right_row in right_rows
+                    if accept(candidate := left_row + right_row)
+                ]
+                if matched:
+                    rows.extend(matched)
+                elif pad:
+                    rows.append(left_row + null_right)
         context.stats.rows_joined += len(rows)
         return Relation(columns, rows)
 

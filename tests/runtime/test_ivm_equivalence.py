@@ -269,3 +269,238 @@ def test_concurrent_writers_keep_patched_caches_consistent(ivm_program):
             for child in verify.engine.session_tree(verify.sessions[key]).children
         ]
         assert patched == rebuilt, key
+
+
+# -- maintained input queries ----------------------------------------------------
+#
+# The Board program: every session's page lists its user's notes through an
+# input query ``note ⋈ user`` under ``ORDER BY``, and a post appends one note.
+# Under incremental maintenance a write patches each session's input entry
+# and adopts the unchanged ShowTable children instead of re-running the
+# query; the sweep below runs the same writes on six stacks -- incremental,
+# recompute and caches off, each under eager and lazy reactivation -- and
+# requires the same pages, instance ids and persistent state on all of them.
+
+BOARD_SOURCE = """
+root aunit Board {
+    input schema { user(name:string) }
+    persist schema { note(author:string, seq:int, text:string) }
+
+    activator ActMyNotes : ShowTable(int, string) {
+        input query {
+            ShowTable.input :-
+                SELECT N.seq, N.text FROM note N, user U
+                WHERE N.author = U.name ORDER BY N.seq
+        }
+    }
+
+    activator ActPost : GetRow(int, string) {
+        handler PostNote {
+            action {
+                note :-
+                    SELECT N.author, N.seq, N.text FROM note N
+                    UNION ALL
+                    SELECT U.name, O.c1, O.c2 FROM user U, GetRow.output O
+            }
+        }
+    }
+}
+"""
+
+_BOARD_USERS = ("u0", "u1", "u2")
+
+_BOARD_KINDS = [
+    "post",            # a session posts: only its own input rows change
+    "insert_foreign",  # a note by an author no session shows
+    "insert_match",    # a note slotted between a session's existing notes
+    "delete",          # drop every note with one seq (several sessions)
+    "delete_foreign",  # drop notes no page shows
+    "update_foreign",  # edit a note no page shows: absorbed
+    "update_shown",    # edit a shown note: a designed bailout
+    "noop_update",     # identity update: no delta, no version bump
+    "replace_barrier", # whole-table reorder: barrier record
+]
+
+
+@pytest.fixture(scope="module")
+def board_program():
+    return build_program(BOARD_SOURCE)
+
+
+class _BoardStack:
+    """One Board engine with three sessions, under one cache/reactivation mode."""
+
+    def __init__(self, program, variant: str, reactivation: str) -> None:
+        self.reactivation = reactivation
+        self.engine = HildaEngine(
+            program,
+            config=EngineConfig(cache=_cache_config(variant), reactivation=reactivation),
+        )
+        self.engine.seed_persistent(
+            {
+                "note": [
+                    (author, seq, f"{author} note {seq}")
+                    for seq in (2, 4, 6)
+                    for author in _BOARD_USERS + ("nobody",)
+                ]
+            }
+        )
+        self.table = self.engine.persistent_table("note")
+        self.renderer = PageRenderer(self.engine, cache_fragments=variant != "off")
+        self.sessions = [self.engine.start_session({"user": [(user,)]}) for user in _BOARD_USERS]
+        self.next_seq = 100
+
+    def _mutate(self, fn) -> None:
+        with self.engine._durable_write():
+            fn(self.table)
+            self.engine.bump_state_version()
+        if self.reactivation == "eager":
+            self.engine.reactivate_all()
+        else:
+            self.engine.mark_all_stale()
+
+    def run(self, action) -> str:
+        kind, index = action
+        user = _BOARD_USERS[index % len(_BOARD_USERS)]
+        seq = self.next_seq
+        self.next_seq += 1
+        if kind == "post":
+            session = self.sessions[index % len(self.sessions)]
+            (poster,) = self.engine.find_instances(aunit_name="GetRow", session_id=session)
+            return str(self.engine.perform(poster.instance_id, [seq, f"post {seq}"]).status)
+        if kind == "insert_foreign":
+            self._mutate(lambda t: t.insert(("nobody", seq, "unseen")))
+        elif kind == "insert_match":
+            self._mutate(lambda t: t.insert((user, 3 + index % 3, f"between {seq}")))
+        elif kind == "delete":
+            self._mutate(lambda t: t.delete_where(lambda row: row[1] == 2 + 2 * (index % 3)))
+        elif kind == "delete_foreign":
+            self._mutate(lambda t: t.delete_where(lambda row: row[0] == "nobody"))
+        elif kind == "update_foreign":
+            self._mutate(
+                lambda t: t.update_where(
+                    lambda row: row[0] == "nobody", lambda row: (row[0], row[1], f"edit {seq}")
+                )
+            )
+        elif kind == "update_shown":
+            self._mutate(
+                lambda t: t.update_where(
+                    lambda row: row[0] == user, lambda row: (row[0], row[1], f"edit {seq}")
+                )
+            )
+        elif kind == "noop_update":
+            self._mutate(lambda t: t.update_where(lambda row: row[0] == user, lambda row: row))
+        elif kind == "replace_barrier":
+            self._mutate(lambda t: t.replace(list(reversed(t.rows))))
+        else:
+            raise AssertionError(kind)
+        return kind
+
+    def observe(self):
+        """(pages, instance ids) of every session, refreshing stale ones."""
+        pages = [self.renderer.render_session(session) for session in self.sessions]
+        ids = [
+            [(node.label, node.instance_id) for node in self.engine.session_tree(session).walk()]
+            for session in self.sessions
+        ]
+        return pages, ids
+
+
+def _board_stacks(program):
+    return [
+        _BoardStack(program, variant, reactivation)
+        for reactivation in ("eager", "lazy")
+        for variant in ("incremental", "recompute", "off")
+    ]
+
+
+def _board_lockstep(stacks, actions) -> None:
+    reference = stacks[0].observe()
+    for stack in stacks[1:]:
+        assert stack.observe() == reference
+    for action in actions:
+        outcomes = {stack.run(action) for stack in stacks}
+        assert len(outcomes) == 1, (action, outcomes)
+        reference = stacks[0].observe()
+        for stack in stacks[1:]:
+            assert stack.observe() == reference, (action, stack.engine.config.cache)
+    for stack in stacks:
+        assert stack.table.check_integrity() == []
+        assert stack.table.same_contents(stacks[0].table)
+
+
+def test_board_input_maintenance_sweep(board_program):
+    """Every write kind, in turn, on all six stacks."""
+    stacks = _board_stacks(board_program)
+    script = [(kind, index) for index in range(3) for kind in _BOARD_KINDS]
+    _board_lockstep(stacks, script)
+    incremental_eager = stacks[0].engine.maintenance_stats
+    # The sweep exercised both sides: sessions adopted through patched
+    # input entries, and designed bailouts falling back to a rebuild.
+    assert incremental_eager.results_unchanged > 0
+    assert incremental_eager.patched > 0
+    assert incremental_eager.bailouts > 0
+    assert stacks[1].engine.maintenance_stats.results_unchanged == 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    actions=st.lists(
+        st.tuples(st.sampled_from(_BOARD_KINDS), st.integers(min_value=0, max_value=5)),
+        max_size=6,
+    )
+)
+def test_board_input_maintenance_is_observationally_equivalent(board_program, actions):
+    _board_lockstep(_board_stacks(board_program), actions)
+
+
+def test_post_adopts_every_other_session(board_program):
+    """A post rebuilds the poster's notes only; the rest are adopted as-is."""
+    stack = _BoardStack(board_program, "incremental", "eager")
+    engine = stack.engine
+    before = {
+        session: engine.session_tree(session).children[0] for session in stack.sessions
+    }
+    (poster,) = engine.find_instances(aunit_name="GetRow", session_id=stack.sessions[0])
+    result = engine.perform(poster.instance_id, [50, "new"])
+    assert engine.maintenance_stats.results_unchanged == len(stack.sessions) - 1
+    for session in stack.sessions[1:]:
+        assert engine.session_tree(session).children[0] is before[session]
+    assert engine.session_tree(stack.sessions[0]).children[0] is not before[stack.sessions[0]]
+    # Only the poster's tree is rebuilt (its root and both children); every
+    # other session keeps its installed tree.
+    assert result.instances_rebuilt == 3
+    assert result.instances_reused == 3 * (len(stack.sessions) - 1)
+
+
+def test_fully_adopted_session_keeps_its_root_object(board_program):
+    """A root that adopts every child and table is kept, not swapped for a copy."""
+    stack = _BoardStack(board_program, "incremental", "eager")
+    engine = stack.engine
+    roots = {session: engine.session_tree(session) for session in stack.sessions}
+    (poster,) = engine.find_instances(aunit_name="GetRow", session_id=stack.sessions[0])
+    engine.perform(poster.instance_id, [50, "new"])
+    for session in stack.sessions[1:]:
+        root = engine.session_tree(session)
+        assert root is roots[session]
+        assert all(child.parent is root for child in root.children)
+        for node in root.walk():
+            assert engine.forest.instance_by_id(node.instance_id) is node
+    poster_root = engine.session_tree(stack.sessions[0])
+    assert poster_root is not roots[stack.sessions[0]]
+    assert poster_root.instance_id == roots[stack.sessions[0]].instance_id
+
+
+def test_activation_tuple_input_queries_store_no_entry(ivm_program):
+    """An input query reading ``activationTuple`` keeps the recompute path."""
+    stack = _Stack(ivm_program, "incremental")
+    cache = stack.engine._activation_cache
+    assert cache and not any(key[0] == "input" for key in cache)
+
+
+def test_board_input_entries_are_stored_per_child(board_program):
+    stack = _BoardStack(board_program, "incremental", "eager")
+    engine = stack.engine
+    for session in stack.sessions:
+        (child,) = engine.find_instances(aunit_name="ShowTable", session_id=session)
+        assert ("input", child.label) in engine._activation_cache

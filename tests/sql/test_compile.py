@@ -11,6 +11,8 @@ refuse to compile so the executor falls back to the interpreter.
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,7 @@ from repro.sql.ast import (
 from repro.sql.compile import compile_expression
 from repro.sql.evaluator import Evaluator, RowScope
 from repro.sql.executor import SQLExecutor
+from repro.sql.operators import NestedLoopJoinOp
 from repro.sql.parser import parse_query
 from repro.sql.relation import ColumnInfo, Relation
 
@@ -234,3 +237,137 @@ class TestExecutorFallback:
         assert compiled_executor.stats.compiled_evals > 0
         assert interpreted_executor.stats.interpreted_evals > 0
         assert interpreted_executor.stats.compiled_evals == 0
+
+
+# -- mixed-class comparisons ---------------------------------------------------
+#
+# The compiled comparisons skip ``_normalize_pair`` when both operands have
+# the same class; every other pair must still take the interpreter's route.
+# Each operand pair below crosses a class boundary the normalisation cares
+# about (bool/int, int/float, numbers vs numeric and non-numeric strings) or
+# sits on the fast path (str/str, date/date), with NULL on either side.
+
+_mixed_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([-1.5, 0.0, 1.0, 2.5]),
+    st.sampled_from(["1", "2", "-3", "2.5", "1e1", "", "a", "ab", "true"]),
+    st.sampled_from([datetime.date(2006, 4, 3), datetime.date(2006, 4, 8)]),
+)
+
+_COMPARISON_OPERATORS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def _agree(expression, row):
+    compiled = compile_expression(expression, COLUMNS, FUNCTIONS)
+    assert compiled is not None, expression.to_sql()
+    scope = RowScope(Relation(COLUMNS, [row]), row, None)
+    interpreted = _outcome(lambda: Evaluator(FUNCTIONS, _no_subqueries).evaluate(expression, scope))
+    fast = _outcome(lambda: compiled(row))
+    # Equal *and* of the same type: True == 1 must not pass for a match.
+    assert (fast, type(fast[1])) == (interpreted, type(interpreted[1])), (
+        f"{expression.to_sql()} on {row!r}: compiled={fast!r} interpreted={interpreted!r}"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=_mixed_values, right=_mixed_values, operator=st.sampled_from(_COMPARISON_OPERATORS))
+def test_mixed_class_comparisons_agree_with_interpreter(left, right, operator):
+    row = (left, right, None)
+    _agree(BinaryOp(operator, ColumnRef("a", "r"), ColumnRef("b", "r")), row)
+    _agree(BinaryOp(operator, ColumnRef("b", "r"), ColumnRef("a", "r")), row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    left=_mixed_values,
+    candidates=st.lists(_mixed_values, min_size=0, max_size=3),
+    negated=st.booleans(),
+)
+def test_mixed_class_in_lists_agree_with_interpreter(left, candidates, negated):
+    expression = InExpression(
+        ColumnRef("a", "r"),
+        values=tuple(Literal(value) for value in candidates) + (ColumnRef("b", "r"),),
+        negated=negated,
+    )
+    _agree(expression, (left, candidates[0] if candidates else None, None))
+
+
+@pytest.mark.parametrize(
+    "left, right, operator, expected",
+    [
+        (True, 1, "=", True),  # bools pass through _normalize_pair untouched
+        (1, 1.0, "=", True),
+        (2, "2", "=", True),  # numeric string normalised to a number
+        (2, "2.5", "<", True),
+        (10, "1e1", "=", True),
+        (2, "ab", "<", True),  # non-numeric: both compared as strings
+        ("ab", "b", "<", True),  # same class: plain Python comparison
+        (datetime.date(2006, 4, 3), datetime.date(2006, 4, 8), ">=", False),
+        (datetime.date(2006, 4, 3), 5, "<", None),  # incomparable: NULL
+        (None, 1, "=", None),
+        ("x", None, "<>", None),
+    ],
+)
+def test_comparison_pins(left, right, operator, expected):
+    compiled = compile_expression(
+        BinaryOp(operator, ColumnRef("a", "r"), ColumnRef("b", "r")), COLUMNS, FUNCTIONS
+    )
+    assert compiled((left, right, None)) is expected
+
+
+# -- nested-loop join counters -------------------------------------------------
+
+
+class TestNestedLoopJoinCounters:
+    """The join counts its probes per invocation, with the per-pair totals."""
+
+    @pytest.fixture
+    def executor(self):
+        db = Database()
+        db.create_table(TableSchema("l", [Column("x", DataType.INT)]))
+        db.create_table(TableSchema("r", [Column("y", DataType.INT)]))
+        db.insert_many("l", [(0,), (1,), (5,)])
+        db.insert_many("r", [(1,), (2,), (3,), (None,)])
+        return SQLExecutor(db)
+
+    def _run_join(self, executor, query):
+        plan = executor._plan(executor._parse_query(query))
+        join = plan
+        while not isinstance(join, NestedLoopJoinOp):
+            join = join.children()[0]
+        context = executor._context()
+        probes, evals = context.stats.join_probes, context.stats.compiled_evals
+        rows = join.execute(context, None).rows
+        return (
+            join.join_type,
+            rows,
+            context.stats.join_probes - probes,
+            context.stats.compiled_evals - evals,
+        )
+
+    def test_inner_join(self, executor):
+        join_type, rows, probes, evals = self._run_join(
+            executor, "SELECT L.x, R.y FROM l L JOIN r R ON L.x < R.y"
+        )
+        assert join_type == "INNER"
+        assert rows == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        assert (probes, evals) == (12, 12)
+
+    def test_left_join(self, executor):
+        join_type, rows, probes, evals = self._run_join(
+            executor, "SELECT L.x, R.y FROM l L LEFT JOIN r R ON L.x < R.y"
+        )
+        assert join_type == "LEFT"
+        assert rows == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (5, None)]
+        assert (probes, evals) == (12, 12)
+
+    def test_cross_join(self, executor):
+        join_type, rows, probes, evals = self._run_join(
+            executor, "SELECT L.x, R.y FROM l L, r R"
+        )
+        assert join_type == "CROSS"
+        assert len(rows) == 12
+        assert rows[:4] == [(0, 1), (0, 2), (0, 3), (0, None)]
+        assert (probes, evals) == (12, 0)

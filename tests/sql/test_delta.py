@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ReproError
 from repro.relational.database import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
@@ -23,6 +24,7 @@ from repro.sql.delta import (
     build_delta_program,
     classify_plan,
     describe_maintenance,
+    per_child_reads,
 )
 from repro.sql.executor import SQLExecutor
 
@@ -205,6 +207,24 @@ class TestClassification:
         assert program is not None and program.has_join
 
     @pytest.mark.parametrize(
+        "extra, reason",
+        [
+            ("activationTuple", "reads activationTuple"),
+            ("ShowTable.input", "reads per-child table ShowTable.input"),
+        ],
+    )
+    def test_per_child_reads_keep_recomputing(self, extra, reason):
+        # A Hilda input query over tables created afresh per child: the
+        # plan has delta rules, but no stored entry could ever be patched.
+        executor = SQLExecutor(_db())
+        ast, plan, program = _program(executor, "SELECT name FROM item")
+        assert program is not None
+        tables = executor._plan_read_set(plan) | {extra}
+        assert per_child_reads(tables) == reason
+        assert describe_maintenance(ast, plan, tables) == f"recompute ({reason})"
+        assert per_child_reads(frozenset({"item", "in.item", "out.item"})) is None
+
+    @pytest.mark.parametrize(
         "query",
         [
             "SELECT COUNT(*) FROM item",
@@ -353,3 +373,142 @@ class TestDesignedBailouts:
         _, _, program = _program(executor, "SELECT name FROM item WHERE grade > 0")
         wrong = [("not-a-real-row",)]
         assert program.snapshot(executor._context(), wrong) is None
+
+
+class TestSortedPrograms:
+    """``[Project] Sort spine`` plans: the rows *and* their order must match."""
+
+    def test_sort_is_classified_incremental(self):
+        executor = SQLExecutor(_db())
+        query = "SELECT name FROM item WHERE grade > 0 ORDER BY name"
+        ast, plan, program = _program(executor, query)
+        assert program is not None and program.sort is not None
+        assert describe_maintenance(
+            ast, plan, executor._plan_read_set(plan)
+        ) == "incremental (delta spine over item under a sort)"
+
+    def test_limit_over_a_sort_classifies_as_recompute(self):
+        executor = SQLExecutor(_db())
+        ast, plan, program = _program(executor, "SELECT name FROM item ORDER BY name LIMIT 3")
+        assert program is None
+        assert classify_plan(ast, plan, executor._plan_read_set(plan))[1] == "LimitOp"
+
+    def test_empty_propagated_output_keeps_rows_and_order(self):
+        harness = _Harness(
+            "SELECT I.name, T.label FROM item I, tag T "
+            "WHERE I.grade = T.grade AND T.label = 'g1' ORDER BY I.name DESC"
+        )
+        table = harness.db.table("item")
+        table.insert((100, 2, "no-match"))
+        table.insert_many([(101, 0, "a"), (102, 2, "b")])
+        table.delete_where(lambda r: r[0] == 3)  # grade 0: never in the result
+        new_pairs, new_stamp = harness.maintain()
+        assert new_pairs == harness.pairs
+        assert new_stamp == _stamp(harness.db, harness.program) != harness.stamp
+        harness.assert_patch_matches_recompute()
+
+    def test_insert_ties_land_after_equal_keys(self):
+        harness = _Harness("SELECT id, name FROM item ORDER BY grade")
+        table = harness.db.table("item")
+        table.insert((100, 1, "tie"))
+        table.insert_many([(101, 0, "first-bucket"), (102, 1, "tie-2")])
+        harness.assert_patch_matches_recompute()
+
+    def test_descending_multi_key_sort(self):
+        harness = _Harness("SELECT id, name FROM item ORDER BY grade DESC, name")
+        table = harness.db.table("item")
+        table.insert_many([(100, 2, "a"), (101, 1, "zz"), (102, 0, "n5")])
+        harness.assert_patch_matches_recompute()
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_null_sort_keys(self, direction):
+        db = _db()
+        db.table("item").insert((50, None, "null-before"))
+        harness = _Harness(f"SELECT id FROM item ORDER BY grade {direction}", db=db)
+        table = db.table("item")
+        table.insert_many([(100, None, "null"), (101, 1, "one"), (102, None, "null-2")])
+        harness.assert_patch_matches_recompute()
+
+    def test_delete_keeps_the_survivors_order(self):
+        harness = _Harness(
+            "SELECT I.name, T.label FROM item I, tag T "
+            "WHERE I.grade = T.grade ORDER BY T.label DESC"
+        )
+        table = harness.db.table("item")
+        table.delete_where(lambda r: r[1] == 1)
+        table.insert((100, 1, "back"))
+        table.delete_where(lambda r: r[0] == 4)
+        harness.assert_patch_matches_recompute()
+
+    def test_update_outside_the_result_is_absorbed(self):
+        harness = _Harness("SELECT name FROM item WHERE grade > 0 ORDER BY name")
+        harness.db.table("item").update_where(
+            lambda r: r[0] == 0, lambda r: (r[0], 0, "still-filtered")
+        )
+        harness.assert_patch_matches_recompute()
+
+
+class TestSortedBailouts:
+    def test_update_of_a_result_row_bails(self):
+        harness = _Harness("SELECT name FROM item WHERE grade > 0 ORDER BY name")
+        harness.db.table("item").update_where(
+            lambda r: r[0] == 1, lambda r: (r[0], r[1], "renamed")
+        )
+        assert harness.maintain() is None
+
+    def test_update_admitting_a_row_bails(self):
+        harness = _Harness("SELECT name FROM item WHERE grade > 0 ORDER BY name")
+        harness.db.table("item").update_where(
+            lambda r: r[0] == 0, lambda r: (r[0], 2, r[2])
+        )
+        assert harness.maintain() is None
+
+    def test_insert_on_an_index_ordered_leaf_bails(self):
+        db = _db()
+        db.table("item").create_index(["grade"])
+        harness = _Harness("SELECT name FROM item WHERE grade = 1 ORDER BY name", db=db)
+        assert "IndexScan" in harness.executor.explain(harness.query)
+        db.table("item").insert((100, 1, "in-bucket"))
+        assert harness.maintain() is None
+
+    def test_index_ordered_leaf_absorbs_an_insert_outside_its_bucket(self):
+        db = _db()
+        db.table("item").create_index(["grade"])
+        harness = _Harness("SELECT name FROM item WHERE grade = 1 ORDER BY name", db=db)
+        db.table("item").insert((100, 2, "other-bucket"))
+        harness.assert_patch_matches_recompute()
+
+    def test_incomparable_sort_keys_bail(self):
+        harness = _Harness(
+            "SELECT id FROM item WHERE grade > 0 "
+            "ORDER BY CASE WHEN grade = 9 THEN name ELSE id END"
+        )
+        harness.db.table("item").insert((100, 9, "text-key"))
+        assert harness.maintain() is None
+
+    @pytest.mark.parametrize(
+        "second_key",
+        [
+            "CASE WHEN grade = 9 THEN name ELSE id END",
+            # The nearest placed row has a NULL second key: the check looks past it.
+            "CASE WHEN grade = 9 THEN name WHEN id = 11 THEN NULL ELSE id END",
+        ],
+    )
+    def test_incomparable_later_sort_key_bails(self, second_key):
+        # The first key alone places the row (grade 9 sorts last), but
+        # SortOp's pass over the second key would compare text with ints.
+        query = f"SELECT id FROM item WHERE grade > 0 ORDER BY grade, {second_key}"
+        harness = _Harness(query)
+        harness.db.table("item").insert((100, 9, "text-key"))
+        assert harness.maintain() is None
+        with pytest.raises((TypeError, ReproError)):
+            harness.executor.execute_query(query)
+
+    def test_comparable_later_sort_key_is_placed(self):
+        harness = _Harness(
+            "SELECT id FROM item WHERE grade > 0 "
+            "ORDER BY grade, CASE WHEN id = 11 THEN NULL ELSE id END DESC"
+        )
+        harness.db.table("item").insert((100, 9, "text-key"))
+        harness.db.table("item").insert((101, 2, "mid"))
+        harness.assert_patch_matches_recompute()
